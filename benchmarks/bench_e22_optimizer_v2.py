@@ -7,11 +7,12 @@ Four workloads, each pinning one of the Optimizer v2 claims:
   skewed two-range join the pre-ANALYZE plan starts from the wrong
   range (its range filter looks 1/3-selective but actually keeps ~1%);
   after ANALYZE the estimate tightens by >5x and the join order flips.
-* **dp_vs_greedy_4way** — Selinger-style DP enumeration against the
-  greedy enumerator on a 4-way chain with a trap: the smallest table's
-  only join link explodes, so greedy (which must start from the
-  min-estimate range) builds intermediates ~10x the answer while DP
-  starts from the selective filtered range.  DP must win on wall time.
+* **dp_4way** — Selinger-style DP enumeration on a 4-way chain with a
+  trap: the smallest table's only join link explodes, so an order that
+  starts from the min-estimate range builds intermediates ~10x the
+  answer.  The plan must start from the selective filtered range and
+  walk the chain from there (recorded ratios vs the former greedy
+  enumerator: ROADMAP architecture notes).
 * **feedback_error** — the adaptive loop: without ANALYZE the theta
   constant underestimates a skewed range filter ~3x; executing through
   a Session folds actual/estimated ratios into the table's bounded
@@ -22,8 +23,8 @@ Four workloads, each pinning one of the Optimizer v2 claims:
   rows) with hit/miss/entry counters in the Prometheus rendering.
 
 Every workload asserts answer agreement (cache-on == cache-off,
-DP == greedy == pre-ANALYZE plan), so the benchmark doubles as a
-differential check.
+post-ANALYZE == pre-ANALYZE plan, DP plan == a plain dict-join
+reference), so the benchmark doubles as a differential check.
 
 Run styles:
 
@@ -101,11 +102,11 @@ def range_database(size: int, seed: int) -> Database:
 
 
 def trap_database(size: int, seed: int) -> Database:
-    """A —U— B —V— BIG —F— TRAP: TRAP is the smallest range (so greedy
-    must start there) but its only link, BIG.F, has 5 distinct values —
-    the first greedy join explodes to ~2x BIG's selected share, while
-    DP starts from the filtered A end and keeps every intermediate at
-    answer size."""
+    """A —U— B —V— BIG —F— TRAP: TRAP is the smallest range (where a
+    smallest-first order would start) but its only link, BIG.F, has 5
+    distinct values — a join from there explodes to ~2x BIG's selected
+    share, while DP starts from the filtered A end and keeps every
+    intermediate at answer size."""
     rng = random.Random(seed)
     database = Database("e22-trap")
     a = database.create_table("A", ["S", "U"])
@@ -120,6 +121,29 @@ def trap_database(size: int, seed: int) -> Database:
     trap.insert_many([(i % 5, i) for i in range(10)])
     database.analyze()
     return database
+
+
+def trap_reference(database: Database) -> set:
+    """TRAP_QUERY's answer by plain dict joins over the (null-free)
+    tables — the tuple-at-a-time oracle would enumerate |A|·|B|·|BIG|·|TRAP|
+    bindings."""
+    def rows(name):
+        return list(database.catalog.table(name).rows())
+
+    def by(name, attribute):
+        index: dict = {}
+        for row in rows(name):
+            index.setdefault(row[attribute], []).append(row)
+        return index
+
+    b_by_u, g_by_v, t_by_f = by("B", "U"), by("BIG", "V"), by("TRAP", "F")
+    return {
+        (a["U"], t["W"])
+        for a in rows("A") if a["S"] == 1
+        for b in b_by_u.get(a["U"], ())
+        for g in g_by_v.get(b["V"], ())
+        for t in t_by_f.get(g["F"], ())
+    }
 
 
 def skew_database(size: int, seed: int) -> Database:
@@ -200,25 +224,16 @@ def run_experiments(sizes=FULL_SIZES, metric=None, line=None):
         emit("range_plan", "engine", size, engine_seconds,
              estimate_error=round(abs(hist_est - actual) / max(actual, 1), 3))
 
-        # -- (b) 4-way join: DP enumeration vs greedy -------------------------
+        # -- (b) 4-way join: the DP-chosen order ------------------------------
         database = trap_database(size, seed=size + 1)
         query = compile_query(TRAP_QUERY, database).query
-        greedy_seconds, greedy_answer = _time(
-            lambda: Plan(query, database, join_enumeration="greedy").execute()
-        )
-        dp_seconds, dp_answer = _time(
-            lambda: Plan(query, database, join_enumeration="dp").execute()
-        )
-        assert dp_answer == greedy_answer
-        if size >= 1_000:
-            # The trap is sized so DP's win is structural, not noise.
-            assert dp_seconds < greedy_seconds, (
-                f"DP ({dp_seconds:.4f}s) did not beat greedy "
-                f"({greedy_seconds:.4f}s) at {size} rows"
-            )
-        emit("dp_vs_greedy_4way", "seed", size, greedy_seconds)
-        emit("dp_vs_greedy_4way", "engine", size, dp_seconds,
-             speedup=round(greedy_seconds / dp_seconds, 2))
+        plan = Plan(query, database)
+        dp_seconds, dp_answer = _time(plan.execute)
+        assert {(r["a_U"], r["t_W"]) for r in dp_answer.rows()} == trap_reference(database)
+        # The order avoids the trap: from the filtered A end along the
+        # chain, TRAP (the smallest range) joined last.
+        assert [step.split()[3] for step in _join_steps(plan)] == ["b", "g", "t"]
+        emit("dp_4way", "engine", size, dp_seconds)
 
         # -- (c) adaptive feedback shrinks the estimate error -----------------
         database = skew_database(size, seed=size + 2)
@@ -281,8 +296,7 @@ def run_experiments(sizes=FULL_SIZES, metric=None, line=None):
 
         if line is not None:
             line(
-                f"n={size}: range-plan flip + {round(greedy_seconds / dp_seconds, 1)}x "
-                f"DP-vs-greedy + feedback error "
+                f"n={size}: range-plan flip + DP order a→b→g→t + feedback error "
                 f"{round(statistics.median(before_errors), 2)}→"
                 f"{round(statistics.median(after_errors), 2)} + "
                 f"{round(speedup, 1)}x cache hits (metrics in results.json)"
@@ -319,7 +333,7 @@ def main(argv: List[str]) -> int:
     metrics = conftest._METRICS["e22_optimizer_v2"]
     by_key = {(m["op"], m["variant"], m["rows"]): m for m in metrics}
     print(f"{'op':<22} {'rows':>6} {'seed s':>10} {'engine s':>10} {'speedup':>8}")
-    for op in ("range_plan", "dp_vs_greedy_4way", "feedback_error", "result_cache"):
+    for op in ("range_plan", "feedback_error", "result_cache"):
         for size in sizes:
             seed = by_key.get((op, "seed", size))
             engine = by_key.get((op, "engine", size))

@@ -3,7 +3,7 @@
 Usage::
 
     python benchmarks/compare.py BASELINE.json CURRENT.json \
-        [--threshold 0.2] [--experiments e17_streaming_executor,e15_cost_optimizer]
+        [--threshold 0.2] [--experiments e18_server_load,e22_optimizer_v2]
 
 ``--experiments`` also accepts short ids: a name that matches no
 experiment exactly selects every experiment it prefixes, so

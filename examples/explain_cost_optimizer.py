@@ -3,12 +3,10 @@
 This example builds a three-table supply chain, then shows how the same
 QUEL query's plan evolves:
 
-* the **pre-statistics plan** (``cost_based=False``): joins in the order
-  the ranges were declared, residual qualification evaluated last;
-* the **cost-ordered plan**: the optimizer starts from the selective
-  range and walks the join chain outward, annotating every step with its
-  estimated and measured row counts (``est=…, rows=…`` — compare them to
-  audit the cost model);
+* the **cost-ordered plan**: whatever order the ranges were declared
+  in, the optimizer starts from the selective range and walks the join
+  chain outward, annotating every step with its estimated and measured
+  row counts (``est=…, rows=…`` — compare them to audit the cost model);
 * the plan **after** ``create_index`` + ``analyze()``: the join against
   the indexed table becomes an index-nested-loop probe of the live
   :class:`~repro.storage.index.HashIndex` — no per-query bucket rebuild.
@@ -116,9 +114,6 @@ def main() -> None:
     query = compile_query(QUERY, db).query
     print(QUERY)
     print()
-
-    show("pre-statistics planner (declaration order, residual last)",
-         Plan(query, db, cost_based=False))
 
     show("cost-based optimizer (selective range first, est= vs rows=)",
          Plan(query, db))

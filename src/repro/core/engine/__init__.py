@@ -28,17 +28,19 @@ in the library:
   <repro.core.setops.x_intersection>`: only row pairs that agree on at
   least one bound attribute value can have a non-null meet, so the full
   ``n × m`` meet product is never enumerated.
-* :func:`~repro.core.engine.joins.equi_join_rows` — the hash equi-join
-  kernel the QUEL planner picks when a qualification contains equalities
-  between two range variables; accepts attribute *lists*, so every
-  equality conjunct linking two ranges fuses into one composite-key
-  probe with no residual selection left behind.
-* :func:`~repro.core.engine.joins.index_probe_join_rows` — the
-  index-nested-loop variant: when a persistent
+* :func:`~repro.core.engine.joins.equi_join_rows` — the whole-input
+  hash equi-join kernel (the strategy the QUEL planner picks when a
+  qualification contains equalities between two range variables);
+  accepts attribute *lists*, so every equality conjunct linking two
+  ranges fuses into one composite-key probe with no residual selection
+  left behind.
+* :func:`~repro.core.engine.joins.build_join_buckets` /
+  :func:`~repro.core.engine.joins.probe_join_block` — the build and
+  block-at-a-time probe phases behind the executor's hash and
+  index-nested-loop join operators: when a persistent
   :class:`~repro.storage.index.HashIndex` already covers the fused join
   key, each outer row probes the live index instead of rebuilding hash
-  buckets per query; the cost-based planner emits it for indexed,
-  unfiltered ranges.
+  buckets per query.
 
 The naive, definitional forms are retained throughout the library as
 oracles; the property tests in ``tests/test_engine_properties.py`` assert
@@ -50,7 +52,6 @@ from .dominance import DominanceIndex, bulk_reduce
 from .joins import (
     build_join_buckets,
     equi_join_rows,
-    index_probe_join_rows,
     pair_candidates,
     probe_join_block,
 )
@@ -60,7 +61,6 @@ __all__ = [
     "build_join_buckets",
     "bulk_reduce",
     "equi_join_rows",
-    "index_probe_join_rows",
     "pair_candidates",
     "probe_join_block",
 ]

@@ -156,9 +156,8 @@ def build_join_buckets(
 
     Buckets *rows* by their value tuple on *key_attrs*; rows null on any
     key attribute are dropped (they can never satisfy the equality under
-    the Section 5 TRUE-only discipline).  Both the planner's per-query
-    hash joins and the streaming :class:`repro.exec.HashJoin` operator
-    build their tables through here, so the null handling cannot diverge.
+    the Section 5 TRUE-only discipline).  The build phase of the
+    :class:`repro.exec.HashJoin` operator.
     """
     key_attrs = tuple(key_attrs)
     buckets: Dict[Tuple, List[XTuple]] = {}
@@ -186,8 +185,12 @@ def probe_join_block(
     through *transform* (the planner's ``variable.``-prefix rename).
     *cache* memoises the transform per distinct matched row; the caller
     owns it so the memoisation spans every block of one join.  This is
-    the block-level entry point the streaming executor pulls on;
-    :func:`index_probe_join_rows` is the whole-input convenience form.
+    the block-level entry point the executor's :class:`repro.exec.HashJoin`
+    and :class:`repro.exec.IndexNLJoin` pull on: *lookup* is a per-query
+    bucket table for the former, the bound
+    :meth:`repro.storage.index.HashIndex.lookup` of a live persistent
+    index for the latter (whose null-bucket rows an exact lookup never
+    returns, so the TRUE-only discipline holds on both sides).
 
     *residual* is the fused-residual hook: a predicate over the
     ``(probe row, raw build row)`` pair, evaluated **before** the joined
@@ -213,35 +216,3 @@ def probe_join_block(
                 renamed = cache[right] = transform(right)
             out.append(left.join(renamed))
     return out
-
-
-def index_probe_join_rows(
-    left_rows: Iterable[XTuple],
-    probe_attrs: Sequence[str],
-    lookup: Callable[[Tuple], Iterable[XTuple]],
-    transform: Callable[[XTuple], XTuple],
-    residual: Optional[Callable[[XTuple, XTuple], bool]] = None,
-) -> List[XTuple]:
-    """Index-nested-loop equi-join: probe a *live* hash index per left row.
-
-    Instead of bucketing the right operand per query (the
-    :func:`equi_join_rows` build phase — O(|right|) work and allocation
-    every time), each left row probes *lookup* — typically the bound
-    :meth:`repro.storage.index.HashIndex.lookup` of a persistent index the
-    table already maintains — with its values on *probe_attrs*, ordered to
-    match the index's key layout.  Matched rows pass through *transform*
-    (the planner's ``variable.``-prefix rename), memoised per distinct row
-    so a row matched by many probes is renamed once.
-
-    Left rows null on any probe attribute are skipped — a comparison
-    touching ``ni`` is never TRUE (Section 5) — and the index's own
-    null-bucket rows are simply never returned by an exact lookup, so the
-    TRUE-only discipline holds on both sides.  Output rows may include
-    joins against stored rows a minimal representation would drop; each
-    such row is dominated by the corresponding join against the dominating
-    stored row, so the result is information-wise identical after
-    reduction (which every plan applies).  *residual* is forwarded to
-    :func:`probe_join_block` — a fused pair predicate evaluated before
-    any joined tuple is built.
-    """
-    return probe_join_block(left_rows, probe_attrs, lookup, transform, {}, residual)

@@ -1,10 +1,12 @@
 """The streaming operator-tree executor (Volcano-style, batch-at-a-time).
 
 This subpackage decouples *execution* from *planning*: the QUEL planner
-(:mod:`repro.quel.planner`) compiles its logical plan into a tree of the
-physical operators defined here, and the tree pulls fixed-size blocks of
-tuples from leaf to root — non-blocking operators stream rows through
-without ever constructing an intermediate
+(:mod:`repro.quel.planner`) produces a logical plan — a list of
+picklable :class:`LogicalOp` — and :func:`build_tree` here is the one
+function that turns it into a tree of the physical operators defined
+here.  The tree pulls fixed-size blocks of tuples from leaf to root —
+non-blocking operators stream rows through without ever constructing an
+intermediate
 :class:`~repro.core.xrelation.XRelation`, while the blocking ones
 (:class:`Reduce`, :class:`Materialize`, the join build sides, the DML
 sinks) break the pipeline exactly where the semantics require it.
@@ -21,19 +23,31 @@ The exported surface:
   :class:`Materialize`;
 * DML sinks — :class:`AppendSink`, :class:`DeleteSink`,
   :class:`ReplaceSink`;
+* :class:`LogicalOp` / :func:`build_tree` — the logical plan as data
+  and its single interpreter (:mod:`repro.exec.predicates` compiles the
+  conjuncts it carries into row functions);
 * :class:`Pipeline` / :class:`TraceStep` / :class:`StalenessGuard` /
   :func:`render_tree` — the compiled-tree wrapper, the shared step-trace
   rendering, the execute-time stamp that makes an undrained live-index
   probe fail loudly after a mutation, and the ``EXPLAIN (ANALYZE)`` tree
   formatter;
 * :class:`Exchange` / :class:`Merge` / :class:`PlanFragment` — the
-  parallel partitioned execution layer: a picklable per-partition plan
-  recipe, the operator that fans it out over worker processes, and the
-  blocking merge that reduces the shard frontier back to global minimal
-  form (``Plan.compile(parallelism=N)``).
+  parallel partitioned execution layer: the logical ops as a picklable
+  per-partition recipe, the operator that fans it out over worker
+  processes (each building its shard's tree with the same
+  :func:`build_tree`), and the blocking merge that reduces the shard
+  frontier back to global minimal form; :func:`exchange_tree` assembles
+  the three (``Plan.compile(parallelism=N)``).
 """
 
-from .exchange import Exchange, Merge, PlanFragment, partition_rows_by_key
+from .builder import LogicalOp, build_tree
+from .exchange import (
+    Exchange,
+    Merge,
+    PlanFragment,
+    exchange_tree,
+    partition_rows_by_key,
+)
 from .operators import (
     BLOCK_SIZE,
     Filter,
@@ -60,6 +74,7 @@ __all__ = [
     "HashJoin",
     "IndexNLJoin",
     "IndexProbe",
+    "LogicalOp",
     "Materialize",
     "Merge",
     "PhysicalOperator",
@@ -74,6 +89,8 @@ __all__ = [
     "StalenessGuard",
     "TableScan",
     "TraceStep",
+    "build_tree",
+    "exchange_tree",
     "partition_rows_by_key",
     "render_tree",
 ]

@@ -4,26 +4,29 @@ The classic Volcano exchange-operator design (Graefe, "Volcano — An
 Extensible and Parallel Query Evaluation System"), adapted to this
 executor's block streams and to the paper's information ordering:
 
-* :class:`PlanFragment` is a **picklable recipe** for one partition's
+* :class:`PlanFragment` is the **picklable recipe** for one partition's
   operator subtree.  Physical operators themselves close over lambdas
   (predicates, rename transforms) and cannot cross a process boundary,
-  so the coordinator ships the *logical* steps — plain tuples over the
-  picklable core predicate AST — and each worker rebuilds the real
-  operator tree with :meth:`PlanFragment.build`.
+  so the coordinator ships the planner's logical ops as they are —
+  plain data over the picklable core predicate AST — and each worker
+  builds the real operator tree with the same
+  :func:`~repro.exec.builder.build_tree` the coordinator uses for a
+  serial plan.
 * :func:`execute_fragment` is the worker entry point: build, drain,
   **locally reduce** the shard to minimal form (Definition 4.6), return
   the reduced rows plus per-step actuals.  Workers are shared-nothing:
   they receive pickled rows and the fragment, never a live ``Database``
-  or index.
-* :class:`Exchange` partitions the coordinator-resolved leaf rows (by
-  fused join key for the plan's first hash join, by signature for
-  reduce-heavy single-range plans), dispatches one fragment per
-  partition to a shared-nothing :mod:`multiprocessing` worker process
-  (fork context where available), and re-emits the shard results as
-  ordinary blocks.  After
-  the drain it exposes per-partition actuals — rows in/out, wall time,
-  skew — as stub child nodes, so ``explain(analyze=True)`` renders the
-  per-worker audit under the Exchange node.
+  or index, so every join in a fragment is a hash join.
+* :func:`partition_sources` splits the coordinator-resolved leaf rows
+  (by fused join key for the plan's first hash join, by signature for
+  reduce-heavy single-range plans).
+* :class:`Exchange` dispatches one fragment per partition to a
+  shared-nothing :mod:`multiprocessing` worker process (fork context
+  where available; in this process when the platform offers no
+  multiprocessing), and re-emits the shard results as ordinary blocks.
+  After the drain it exposes per-partition actuals — rows in/out, wall
+  time, skew — as stub child nodes, so ``explain(analyze=True)`` renders
+  the per-worker audit under the Exchange node.
 * :class:`Merge` reconciles the shard frontier:
   :func:`repro.core.engine.dominance.merge_reduced` over the
   locally-reduced shards restores the *global* minimal form — correct
@@ -44,18 +47,25 @@ reduce reconciles.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from ..core.engine.dominance import bulk_reduce, merge_reduced
+from ..core.engine.dominance import (
+    bulk_reduce,
+    merge_reduced,
+    partition_rows_by_signature,
+)
 from ..core.tuples import XTuple
-from .operators import BLOCK_SIZE, Block, PhysicalOperator
+from .builder import LogicalOp, build_tree
+from .operators import Block, PhysicalOperator
 
 __all__ = [
     "Exchange",
     "Merge",
     "PlanFragment",
+    "exchange_tree",
     "execute_fragment",
     "partition_rows_by_key",
+    "partition_sources",
 ]
 
 
@@ -85,178 +95,80 @@ def partition_rows_by_key(
     return shards
 
 
-class PlanFragment:
-    """One partition's plan, as picklable data.
+class PlanFragment(NamedTuple):
+    """One partition's plan, as picklable data: the planner's logical
+    ops verbatim (so per-step actuals align by index with the
+    coordinator's trace), each range's ``attribute → variable.attribute``
+    renaming, and the start range.  A worker hands these to
+    :func:`~repro.exec.builder.build_tree` with its shard as *sources*
+    and no indexes."""
 
-    *steps* mirrors the planner's logical ops one-for-one (including
-    no-op ``rename`` entries, so per-step actuals align by index with
-    the coordinator's trace):
+    ops: Tuple[LogicalOp, ...]
+    mappings: Dict[str, Dict[str, str]]
+    start: str
 
-    * ``("rename", variable)`` — no node (renaming is fused into joins);
-    * ``("source", variable)`` — the range's rows were resolved at the
-      coordinator (an index-selected bucket); the scan node serves them;
-    * ``("select", variable, attribute, op, constant)`` — pushed
-      constant selection over the unrenamed base rows;
-    * ``("select-var", variable, conjunct)`` — pushed single-variable
-      residual conjunct (a picklable core predicate);
-    * ``("join", variable, pairs, residual)`` — composite-key hash join
-      (always a hash join: workers hold no live indexes), with the
-      optionally fused residual conjunct checked on each (probe, build)
-      pair before the joined tuple is built;
-    * ``("product", variable)`` — Cartesian product;
-    * ``("residual", conjunct)`` — in-flight residual selection over the
-      combined stream;
-    * ``("project", targets)`` — final projection.
 
-    ``build`` reconstructs the physical subtree against a *sources*
-    mapping (variable → this partition's rows) and returns the root
-    plus the per-step node list (``None`` for no-op steps).
+def partition_sources(
+    ops: Sequence[LogicalOp],
+    start: str,
+    sources: Dict[str, Sequence[XTuple]],
+    partitions: int,
+) -> Tuple[List[Dict[str, Sequence[XTuple]]], List[int], str]:
+    """Split *sources* into per-partition source mappings.
+
+    * When the plan's first combining step is an equi-join, both its
+      sides are **co-partitioned** on the fused key — start-range rows
+      by their key values, the joined range's rows by theirs — so every
+      matching pair meets inside one worker, and rows null on a key
+      attribute (which the join would drop anyway) are never shipped;
+    * otherwise (single-range or product-first plans) the start range is
+      partitioned by null-pattern **signature**, which groups identical
+      rows — maximal local reduction per worker;
+    * every other range is broadcast whole.
+
+    Returns the mappings, the partitioned (non-broadcast) row count of
+    each, and the scheme's description.  Correctness does not depend on
+    the scheme: each serial output row derives from exactly one
+    start-range row, so the shard outputs cover the serial output, and
+    the final :class:`Merge` reduction restores global minimal form for
+    *any* partition function (reduction only removes dominated rows;
+    dominance is transitive).
     """
-
-    __slots__ = ("steps", "mappings", "start", "variables")
-
-    def __init__(
-        self,
-        steps: Sequence[Tuple],
-        mappings: Dict[str, Dict[str, str]],
-        start: str,
-        variables: Sequence[str],
-    ):
-        self.steps = tuple(steps)
-        self.mappings = mappings
-        self.start = start
-        self.variables = tuple(variables)
-
-    def __getstate__(self):
-        return (self.steps, self.mappings, self.start, self.variables)
-
-    def __setstate__(self, state):
-        self.steps, self.mappings, self.start, self.variables = state
-
-    def build(
-        self, sources: Dict[str, Sequence[XTuple]], block_size: int
-    ) -> Tuple[PhysicalOperator, List[Optional[PhysicalOperator]]]:
-        # Deferred imports: the planner imports this module, so the
-        # reverse import must happen at build time, not module load.
-        from ..core import algebra
-        from ..quel.planner import (
-            _pair_predicate,
-            _residual_predicate,
-            _single_variable_predicate,
+    first_combine = next(
+        (op for op in ops if op.kind in ("join", "product")), None
+    )
+    sharded: Dict[str, List[List[XTuple]]] = {}
+    if first_combine is not None and first_combine.kind == "join":
+        # At the plan's first join the combined side is exactly the
+        # start range, so every pair's old ref names a bare start
+        # attribute — both sides hash the same key values.
+        pairs = first_combine.pairs
+        start_key = [old.attribute for old, _ in pairs]
+        sharded[start] = partition_rows_by_key(
+            sources[start], start_key, partitions
         )
-        from .operators import (
-            Filter,
-            HashJoin,
-            Product,
-            Project,
-            Rename,
-            TableScan,
+        sharded[first_combine.variable] = partition_rows_by_key(
+            sources[first_combine.variable],
+            [new.attribute for _, new in pairs], partitions,
         )
-
-        chains: Dict[str, Optional[PhysicalOperator]] = {
-            v: None for v in self.variables
+        scheme = "co-partitioned on " + "+".join(
+            f"{start}.{a}" for a in start_key
+        )
+    else:
+        sharded[start] = partition_rows_by_signature(sources[start], partitions)
+        scheme = "signature-partitioned"
+    shards = [
+        {
+            variable: sharded[variable][i] if variable in sharded else rows
+            for variable, rows in sources.items()
         }
-
-        def scan(variable: str) -> PhysicalOperator:
-            node = chains[variable]
-            if node is None:
-                node = TableScan(
-                    sources.get(variable, ()),
-                    label=f"Scan {variable}",
-                    block_size=block_size,
-                )
-                chains[variable] = node
-            return node
-
-        def transform_for(variable: str):
-            mapping = self.mappings[variable]
-            return lambda row, _mapping=mapping: row.rename(_mapping)
-
-        combined: Optional[PhysicalOperator] = None
-
-        def combined_node() -> PhysicalOperator:
-            nonlocal combined
-            if combined is None:
-                start = self.start
-                combined = Rename(
-                    scan(start), self.mappings[start],
-                    label=f"Rename {start}.*", block_size=block_size,
-                )
-            return combined
-
-        nodes: List[Optional[PhysicalOperator]] = []
-        for step in self.steps:
-            kind = step[0]
-            if kind == "rename":
-                nodes.append(None)
-            elif kind == "source":
-                nodes.append(scan(step[1]))
-            elif kind == "select":
-                _, variable, attribute, op, constant = step
-                node = Filter(
-                    scan(variable),
-                    algebra.constant_predicate(attribute, op, constant),
-                    label=f"Filter {variable}.{attribute} {op} {constant!r}",
-                    block_size=block_size,
-                )
-                chains[variable] = node
-                nodes.append(node)
-            elif kind == "select-var":
-                _, variable, conjunct = step
-                node = Filter(
-                    scan(variable),
-                    _single_variable_predicate(conjunct, variable),
-                    label=f"Filter {conjunct!r} ({variable})",
-                    block_size=block_size,
-                )
-                chains[variable] = node
-                nodes.append(node)
-            elif kind == "join":
-                _, variable, pairs, residual = step
-                build_attrs = [new.attribute for _, new in pairs]
-                probe_attrs = [
-                    f"{old.variable}.{old.attribute}" for old, _ in pairs
-                ]
-                node = HashJoin(
-                    combined_node(), scan(variable), build_attrs, probe_attrs,
-                    transform_for(variable),
-                    residual=(
-                        _pair_predicate(residual, variable)
-                        if residual is not None else None
-                    ),
-                    label=f"HashJoin with {variable}",
-                    block_size=block_size,
-                )
-                combined = node
-                nodes.append(node)
-            elif kind == "product":
-                _, variable = step
-                node = Product(
-                    combined_node(), scan(variable), transform_for(variable),
-                    label=f"Product with {variable}", block_size=block_size,
-                )
-                combined = node
-                nodes.append(node)
-            elif kind == "residual":
-                _, conjunct = step
-                node = Filter(
-                    combined_node(),
-                    _residual_predicate(conjunct, list(self.variables)),
-                    label=f"Filter {conjunct!r}", block_size=block_size,
-                )
-                combined = node
-                nodes.append(node)
-            elif kind == "project":
-                _, targets = step
-                node = Project(
-                    combined_node(), targets, label="Project",
-                    block_size=block_size,
-                )
-                combined = node
-                nodes.append(node)
-            else:
-                raise ValueError(f"unknown fragment step kind {kind!r}")
-        return combined_node(), nodes
+        for i in range(partitions)
+    ]
+    counts = [
+        sum(len(parts[i]) for parts in sharded.values())
+        for i in range(partitions)
+    ]
+    return shards, counts, scheme
 
 
 def execute_fragment(payload) -> Tuple[int, List[XTuple], Dict[str, Any]]:
@@ -271,7 +183,9 @@ def execute_fragment(payload) -> Tuple[int, List[XTuple], Dict[str, Any]]:
     """
     index, fragment, sources, block_size = payload
     begin = perf_counter()
-    root, nodes = fragment.build(sources, block_size)
+    root, nodes = build_tree(
+        fragment.ops, sources, {}, fragment.mappings, fragment.start, block_size
+    )
     staged: List[XTuple] = []
     for block in root.blocks():
         staged.extend(block)
@@ -320,12 +234,10 @@ class Exchange(PhysicalOperator):
 
     *fragment* is the shared :class:`PlanFragment`; *partitions* the
     per-worker source mappings (variable → rows: a shard of the
-    partitioned ranges, the full rows of broadcast ranges).  *mode* is
-    ``"process"`` (one :mod:`multiprocessing` process per partition,
-    fork context where available) or ``"inline"`` (run the fragments
-    sequentially in this process — the automatic fallback when
-    multiprocessing is unusable, and the cheap mode for correctness
-    fuzzing).
+    partitioned ranges, the full rows of broadcast ranges).  Each
+    partition runs in its own :mod:`multiprocessing` process (fork
+    context where available); where the platform cannot provide one the
+    fragments run sequentially in this process instead.
 
     Results are yielded as ordinary blocks as partitions complete
     (whichever worker reports first).  A worker exception propagates
@@ -348,16 +260,11 @@ class Exchange(PhysicalOperator):
         partitions: Sequence[Dict[str, Sequence[XTuple]]],
         *,
         partitioned_rows: Optional[Sequence[int]] = None,
-        mode: str = "process",
         trace_steps: Sequence = (),
         **kwargs: Any,
     ):
-        kwargs.setdefault(
-            "label", f"Exchange [{len(partitions)} partitions, {mode}]"
-        )
+        kwargs.setdefault("label", f"Exchange [{len(partitions)} partitions]")
         super().__init__((), **kwargs)
-        if mode not in ("process", "inline"):
-            raise ValueError(f"unknown exchange mode {mode!r}")
         self.fragment = fragment
         self.partitions = list(partitions)
         #: Partitioned (non-broadcast) input rows per partition — the
@@ -370,7 +277,6 @@ class Exchange(PhysicalOperator):
                 for sources in self.partitions
             ]
         )
-        self.mode = mode
         self.trace_steps = tuple(trace_steps)
         #: Per-partition worker stats, filled while the exchange drains.
         self.partition_stats: List[Optional[Dict[str, Any]]] = [
@@ -389,7 +295,7 @@ class Exchange(PhysicalOperator):
 
     def _results(self) -> Iterator[Tuple[int, List[XTuple], Dict[str, Any]]]:
         payloads = self._payloads()
-        if self.mode == "inline" or len(payloads) <= 1:
+        if len(payloads) <= 1:
             for payload in payloads:
                 yield execute_fragment(payload)
             return
@@ -503,7 +409,7 @@ class Exchange(PhysicalOperator):
                 step_rows = stats["step_rows"]
                 if i < len(step_rows) and step_rows[i] is not None:
                     total = (total or 0) + step_rows[i]
-            if total is not None and getattr(step, "fixed_rows", 0) is None:
+            if total is not None:
                 step.fixed_rows = total
 
 
@@ -531,3 +437,30 @@ class Merge(PhysicalOperator):
             yield from merge_reduced(shards)
 
         return self._reblock(merged())
+
+
+def exchange_tree(
+    ops: Sequence[LogicalOp],
+    sources: Dict[str, Sequence[XTuple]],
+    mappings: Dict[str, Dict[str, str]],
+    start: str,
+    partitions: int,
+    block_size: int,
+    trace_steps: Sequence = (),
+) -> Tuple[Merge, str]:
+    """The parallel counterpart of :func:`~repro.exec.builder.build_tree`:
+    shard *sources* (:func:`partition_sources`), put one
+    :class:`PlanFragment` of *ops* per shard under an :class:`Exchange`,
+    and a :class:`Merge` on top.  *sources* must be snapshots — the
+    fragments are built only when the tree drains.  Returns the root and
+    the partition scheme's description; *trace_steps* are the op-aligned
+    trace steps the Exchange audit fills with the workers' row counts.
+    """
+    shards, counts, scheme = partition_sources(ops, start, sources, partitions)
+    exchange = Exchange(
+        PlanFragment(tuple(ops), mappings, start), shards,
+        partitioned_rows=counts, trace_steps=trace_steps,
+        label=f"Exchange [{partitions} partitions, {scheme}]",
+        block_size=block_size,
+    )
+    return Merge(exchange, block_size=block_size), scheme

@@ -17,13 +17,14 @@ Non-blocking operators (:class:`Filter`, :class:`Rename`,
 building an intermediate :class:`~repro.core.xrelation.XRelation`; the
 blocking ones (:class:`Reduce`, :class:`Materialize`, the build sides of
 the joins) drain their input first, exactly where a pipeline breaker is
-semantically required.  Row-level semantics are shared with the
-materializing path through the kernels in :mod:`repro.core.algebra`
-(``select_constant_rows`` / ``select_predicate_rows`` / ``rename_rows``)
-and :mod:`repro.core.engine.joins` (``build_join_buckets`` /
-``probe_join_block``), so the streaming and the materializing executor
-cannot drift apart on null handling — and the differential harness in
-``tests/test_differential_planner.py`` pins it.
+semantically required.  Row-level semantics come from the kernels in
+:mod:`repro.core.algebra` (``constant_predicate`` /
+``select_predicate_rows``) and :mod:`repro.core.engine.joins`
+(``build_join_buckets`` / ``probe_join_block``) — the same ones the
+relation-level algebra uses, so the operators cannot drift from it on
+null handling — and the differential harness in
+``tests/test_differential_planner.py`` pins every compiled tree against
+the Section 5 tuple-at-a-time oracle.
 """
 
 from __future__ import annotations
@@ -140,9 +141,8 @@ class TableScan(PhysicalOperator):
     semantics (the row *references* are captured, not copies), and a
     mutation between execution and iteration can neither crash the drain
     mid-set nor leak post-statement rows into the answer.  Null tuples
-    (rows binding nothing) are information-free and skipped, mirroring
-    the reduction the materializing path applies when it first wraps a
-    range.
+    (rows binding nothing) are information-free and skipped (Definition
+    4.6 drops them from every minimal form; the oracle never binds one).
     """
 
     def __init__(self, rows: Iterable[XTuple], **kwargs: Any):
@@ -235,9 +235,9 @@ class Project(PhysicalOperator):
     *targets* pairs each output column with the (qualified) input column
     it reads.  Exact duplicate output rows are suppressed with a running
     seen-set (a set probe per row — the streaming analogue of projecting
-    into a set), so the operator's ``actual_rows`` matches the
-    materializing path's projected row count on duplicate-heavy inputs;
-    *dominated* rows are left for the final materialisation
+    into a set), so on null-free data the operator's ``actual_rows`` is
+    the answer's row count even on duplicate-heavy inputs; *dominated*
+    rows are left for the final materialisation
     (:meth:`Pipeline.run <repro.exec.pipeline.Pipeline.run>`, or a
     :class:`Reduce`/:class:`Materialize` sink on a hand-built tree),
     which is where minimal form is restored.
@@ -328,12 +328,13 @@ class IndexNLJoin(PhysicalOperator):
 
     No build side at all: each probe-side row looks its key up in the
     table's own :class:`~repro.storage.index.HashIndex` (*lookup*), so
-    the joined range is never scanned, renamed or bucketed — the
-    streaming form of :func:`repro.core.engine.joins.index_probe_join_rows`.
-    Probing the *live* index is the point of the operator: a pipeline
-    left undrained across table mutations reads the index as it stands
-    at each pull (drain promptly, or use the materializing path, when
-    statement-time semantics must extend across later mutations).
+    the joined range is never scanned, renamed or bucketed.  Probing
+    the *live* index is the point of the operator: a pipeline left
+    undrained across table mutations would read the index as it stands
+    at each pull, which is why the planner pairs every such join with a
+    :class:`~repro.exec.pipeline.StalenessGuard` that makes the next
+    pull fail loudly instead (drain promptly when statement-time
+    semantics must extend across later mutations).
     """
 
     def __init__(

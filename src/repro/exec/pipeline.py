@@ -1,7 +1,7 @@
 """Pipelines: a compiled operator tree plus its execution trace.
 
-A :class:`Pipeline` is what the planner's streaming compiler hands back:
-the root :class:`~repro.exec.operators.PhysicalOperator` of a physical
+A :class:`Pipeline` is what :meth:`Plan.compile
+<repro.quel.planner.Plan.compile>` hands back: the root :class:`~repro.exec.operators.PhysicalOperator` of a physical
 tree, the output schema, and the ordered :class:`TraceStep` list that
 maps the logical plan's step lines onto the physical nodes producing
 their rows.  It supports two consumption styles:
@@ -16,10 +16,9 @@ their rows.  It supports two consumption styles:
   :class:`XRelation`.  Partial lazy consumption is resumed, never
   repeated: the pipeline owns the single block iterator.
 
-:class:`TraceStep` is also the shared rendering unit for the *logical*
-step trace — the materializing executor and the pre-statistics syntactic
-planner render their ``Plan.steps`` through the same class, so the
-``[est=…, rows=…]`` annotations come from one format path everywhere.
+:class:`TraceStep` is the rendering unit of the *logical* step trace:
+every ``[est=…, rows=…]`` annotation in ``Plan.steps`` and
+``ResultSet.explain()`` comes from its one format path.
 """
 
 from __future__ import annotations
@@ -73,15 +72,17 @@ class StalenessGuard:
 
 
 class TraceStep:
-    """One logical plan step, rendered uniformly across executors.
+    """One logical plan step and where its measured row count comes from.
 
     ``text`` is the step description (``"hash equi-join with d on …"``);
-    ``est`` the optimizer's estimate (``None`` on the syntactic path,
-    which never shows estimates); the measured row count comes either
-    from ``fixed_rows`` (the materializing executor records it at step
-    time) or live from ``node.actual_rows`` (the streaming executor's
-    physical operator).  ``show_est`` lets the projection step keep its
-    historical ``[rows=…]``-only annotation.  ``table`` optionally names
+    ``est`` the optimizer's estimate (``None`` for steps that have
+    none).  The measured row count is read live from
+    ``node.actual_rows`` when the step's physical operator runs in this
+    process; a step of a parallel plan has no local node, and
+    ``fixed_rows`` is the slot the :class:`~repro.exec.Exchange` audit
+    fills with the count summed over the shard workers once they have
+    drained.  ``show_est`` lets the projection step keep its
+    ``[rows=…]``-only annotation.  ``table`` optionally names
     the stored table a selection step's estimate was derived from — the
     adaptive-feedback loop folds that step's actual/estimated ratio back
     into the table's statistics when the pipeline drains.
@@ -94,14 +95,13 @@ class TraceStep:
         text: str,
         est: Optional[float] = None,
         node: Optional[PhysicalOperator] = None,
-        fixed_rows: Optional[int] = None,
         show_est: bool = True,
         table=None,
     ):
         self.text = text
         self.est = est
         self.node = node
-        self.fixed_rows = fixed_rows
+        self.fixed_rows: Optional[int] = None
         self.show_est = show_est
         self.table = table
 
@@ -166,7 +166,6 @@ class Pipeline:
         schema: RelationSchema,
         trace: Sequence[TraceStep] = (),
         guards: Sequence[StalenessGuard] = (),
-        database_epoch: Optional[int] = None,
         on_complete=None,
     ):
         self.root = root
@@ -176,9 +175,6 @@ class Pipeline:
         #: index-nested-loop inner table); checked before every fresh
         #: block pull.  Empty for trees that snapshot all their inputs.
         self.guards: List[StalenessGuard] = list(guards)
-        #: The database's catalog/index/stats epoch at execute time (None
-        #: when the compiler had no database in reach).
-        self.database_epoch = database_epoch
         self._blocks: Optional[Iterator[List[XTuple]]] = None
         self._ordered: List[XTuple] = []
         self._exhausted = False

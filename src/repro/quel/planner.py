@@ -1,47 +1,38 @@
-"""A cost-based planner-compiler for QUEL queries.
+"""The cost-based logical planner for QUEL queries.
 
 Section 8 of the paper stresses that the generalised model keeps "the
 well-known correspondence between the relational calculus and the
-relational algebra", which is what makes query evaluation efficient.  The
-planner makes that correspondence concrete — and, since the statistics
-PR, *chooses between* the equivalent algebraic strategies with a
-System-R-style cost model (:mod:`repro.stats`).  Since the streaming
-executor PR, planning and execution are fully decoupled:
+relational algebra", which is what makes query evaluation efficient.
+The planner makes that correspondence concrete, and *chooses between*
+the equivalent algebraic strategies with a System-R-style cost model
+(:mod:`repro.stats`).  It plans; :mod:`repro.exec` executes:
 
 1. **Planning** (:meth:`Plan.logical_plan`) is a pure phase driven by
    estimates only — rename ranges (lazily), push single-variable
-   selections (persistent-index equality probes first), enumerate joins
-   in greedy cost order (estimated-smallest range first, then the linked
-   range with the smallest estimated join output; all equality conjuncts
-   linking the next range fused into one composite key; an
-   index-nested-loop join when the next range is an unfiltered stored
-   table carrying a :class:`~repro.storage.index.HashIndex` on exactly
-   the fused key; Cartesian products, smallest first, last), push
-   residual conjuncts through the joins (applied as soon as their ranges
-   are combined), project onto the target list.  No rows are touched.
-2. **Execution** interprets the same logical plan one of two ways:
+   selections (persistent-index equality probes first), order the joins
+   (Selinger-style dynamic programming over connected subsets; above
+   :data:`DP_JOIN_THRESHOLD` ranges the greedy order — estimated-smallest
+   range first, then the linked range with the smallest estimated join
+   output), fuse all equality conjuncts linking the next range into one
+   composite key (an index-nested-loop join when that range is an
+   unfiltered stored table carrying a
+   :class:`~repro.storage.index.HashIndex` on exactly the fused key;
+   Cartesian products, smallest first, last), push residual conjuncts
+   through the joins (applied as soon as their ranges are combined),
+   project onto the target list.  No rows are touched; the result is a
+   list of picklable :class:`~repro.exec.builder.LogicalOp`.
+2. **Compilation** (:meth:`Plan.compile`) hands those ops to the one
+   tree builder, :func:`repro.exec.builder.build_tree` — directly, with
+   the live tables and indexes, for a serial plan; through
+   :func:`repro.exec.exchange.exchange_tree`, as one
+   :class:`~repro.exec.PlanFragment` per shard under an
+   :class:`~repro.exec.Exchange`/:class:`~repro.exec.Merge` pair, for a
+   parallel one.  The tree pulls fixed-size tuple blocks and builds no
+   intermediate :class:`~repro.core.xrelation.XRelation`.
 
-   * :meth:`Plan.compile` — the default, *streaming* executor: the plan
-     compiles into a tree of :mod:`repro.exec` physical operators pulling
-     fixed-size tuple blocks; non-blocking operators stream rows through
-     without constructing any intermediate
-     :class:`~repro.core.xrelation.XRelation`, and every node records
-     actual rows and wall time for ``explain(analyze=True)``.
-   * ``Plan(query, …, streaming=False)`` — the *materializing* executor:
-     every step builds a full intermediate ``XRelation`` (the pre-exec
-     behaviour, step for step).  It is the differential baseline the
-     streaming path is pinned against, and what benchmark E17 measures
-     the streaming win over.
-
-Every executed step is annotated with the optimizer's estimated and the
-measured row count (``est=…, rows=…``), so ``Plan.explain()`` doubles as
-a cost-model audit; both executors (and the pre-statistics syntactic
-planner) render their traces through the shared
-:class:`~repro.exec.pipeline.TraceStep`, so there is exactly one format
-path.  ``Plan(query, cost_based=False)`` reproduces the PR 2 planner
-(syntactic join order, residual evaluated last, no index reuse) — the
-benchmarks use it as their baseline, the differential tests run every
-mode against the Section 5 oracle.
+Every step is annotated with the optimizer's estimated and the measured
+row count (``est=…, rows=…``), so ``Plan.explain()`` doubles as a
+cost-model audit.
 
 The planner handles every query the front end accepts; the optimisation
 changes strategy only, and the produced result is always information-wise
@@ -54,135 +45,55 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from ..core import algebra
-from ..core.engine.dominance import partition_rows_by_signature
-from ..core.engine.joins import build_join_buckets, index_probe_join_rows
-from ..core.nulls import is_ni
-from ..core.query import And, AttributeRef, Comparison, Constant, Predicate, Query
+from ..core.errors import StaleResultError
+from ..core.query import AttributeRef, Comparison, Predicate, Query
 from ..core.relation import Relation
-from ..core.threevalued import compare
-from ..core.tuples import XTuple
 from ..core.xrelation import XRelation
-from ..exec.exchange import Exchange, Merge, PlanFragment, partition_rows_by_key
-from ..exec.operators import (
-    BLOCK_SIZE,
-    Filter,
-    HashJoin,
-    IndexNLJoin,
-    IndexProbe,
-    PhysicalOperator,
-    Product,
-    Project,
-    Rename,
-    TableScan,
-)
+from ..exec.builder import LogicalOp, build_tree, join_on_text
+from ..exec.exchange import exchange_tree
+from ..exec.operators import BLOCK_SIZE, IndexNLJoin, PhysicalOperator
 from ..exec.pipeline import Pipeline, StalenessGuard, TraceStep
+from ..exec.predicates import pair_predicate
 from ..obs import registry_for
-from ..stats import (
-    CostModel,
-    DEFAULT_COST_MODEL,
-    TableStatistics,
-    suggest_parallelism,
+from ..stats import DEFAULT_COST_MODEL, TableStatistics, suggest_parallelism
+from .conjuncts import (
+    conjoin,
+    constant_parts,
+    flatten,
+    is_equijoin,
+    orient_links,
+    pick_equijoins,
+    split_conjuncts,
 )
 
 #: Above this many ranges the Selinger-style DP join enumeration (2^n
-#: subset states) yields to the PR 3 greedy order.
+#: subset states) yields to the greedy order.
 DP_JOIN_THRESHOLD = 10
+
+#: Step kinds whose estimate derives from one stored table's statistics.
+_SELECTION_KINDS = ("index-select", "select", "select-var-residual")
 
 
 class _RangeContext:
-    """Per-range state: statistics and estimates for planning, lazily
-    renamed/filtered rows for the materializing executor.
+    """Per-range planning state: the relation, its stored table (when it
+    has one), its statistics and the running cardinality estimate.
+    Planning reads only these — no rows are touched."""
 
-    Renaming a range costs one new tuple per row plus a reduction to
-    minimal form, so the context defers it as long as possible: pushed
-    selections filter the *unrenamed* base rows, hash joins can bucket
-    the unrenamed rows and rename only the matched ones, and an
-    index-nested-loop join never materialises the range at all.  The
-    planning phase reads only ``est`` / ``stats()`` / ``table`` (no rows
-    are touched); the row-state methods serve the materializing executor.
-    """
-
-    __slots__ = (
-        "variable", "relation", "table", "filtered", "est",
-        "_renamed", "_filtered_base", "_stats",
-    )
+    __slots__ = ("variable", "relation", "table", "filtered", "est", "_stats")
 
     def __init__(self, variable: str, relation: Relation, table) -> None:
         self.variable = variable
         self.relation = relation
         self.table = table
+        #: True once a selection has been pushed onto this range.
         self.filtered = False
         #: The optimizer's running cardinality estimate for this range.
         self.est: float = float(len(relation))
-        self._renamed: Optional[XRelation] = None
-        #: Pushed-selection result over the *unrenamed* base rows.
-        self._filtered_base: Optional[XRelation] = None
         self._stats: Optional[TableStatistics] = None
 
     @property
     def mapping(self) -> Dict[str, str]:
         return {a: f"{self.variable}.{a}" for a in self.relation.schema.attributes}
-
-    def _base(self) -> Union[Relation, XRelation]:
-        return self._filtered_base if self._filtered_base is not None else self.relation
-
-    def materialized(self) -> XRelation:
-        if self._renamed is None:
-            self._renamed = algebra.rename(self._base(), self.mapping)
-        return self._renamed
-
-    def unrenamed_rows(self):
-        """The current (possibly filtered) rows under their bare attributes."""
-        base = self._base()
-        return base.rows() if isinstance(base, XRelation) else base.tuples()
-
-    def push_constant(self, conjunct: Comparison) -> None:
-        """Apply a pushable constant comparison on the unrenamed base —
-        selection commutes with renaming, and filtering first makes any
-        later rename cheaper."""
-        attribute, op, constant = _constant_parts(conjunct)
-        if is_ni(constant):
-            # A comparison against a null constant evaluates to ni for
-            # every row — never TRUE — so the selection keeps nothing.
-            # (The tuple-at-a-time oracle agrees; ``select_constant``
-            # itself refuses null constants, so bypass it.)
-            self.set_base_rows(())
-            return
-        self._filtered_base = algebra.select_constant(self._base(), attribute, op, constant)
-        self._renamed = None
-        self.filtered = True
-
-    def set_base_rows(self, rows) -> None:
-        """Replace the unrenamed base with an explicit row set — the
-        index-backed selection path, where a persistent hash index
-        already produced exactly the rows satisfying the pushed equality
-        conjuncts (rows null on a probed attribute are rightly absent:
-        an equality touching ``ni`` is never TRUE)."""
-        base = Relation(self.relation.schema, validate=False)
-        base._rows = set(rows)
-        self._filtered_base = XRelation(base)
-        self._renamed = None
-        self.filtered = True
-
-    def push_predicate(self, conjunct: Predicate) -> None:
-        """Apply a single-variable residual conjunct, likewise pre-rename."""
-        variable = self.variable
-
-        def row_predicate(row: XTuple, _c=conjunct, _v=variable):
-            return _c.evaluate({_v: row})
-
-        self._filtered_base = algebra.select_predicate(self._base(), row_predicate)
-        self._renamed = None
-        self.filtered = True
-
-    @property
-    def cardinality(self) -> int:
-        if self._renamed is not None:
-            return len(self._renamed)
-        if self._filtered_base is not None:
-            return len(self._filtered_base)
-        return len(self.relation)
 
     def stats(self) -> TableStatistics:
         """The base statistics: the table's live counters when this range
@@ -210,30 +121,6 @@ class _RangeContext:
         return getattr(self.stats(), "correction", 1.0)
 
 
-# ---------------------------------------------------------------------------
-# Logical plan operations — what planning produces, what both executors run
-# ---------------------------------------------------------------------------
-
-class _LogicalOp:
-    """One step of the logical plan (kind + everything both executors need)."""
-
-    __slots__ = (
-        "kind", "variable", "conjunct", "attribute", "op", "constant",
-        "index", "probe", "described", "pairs", "targets", "est", "residual",
-    )
-
-    def __init__(self, kind: str, **fields: Any):
-        self.kind = kind
-        for slot in self.__slots__:
-            if slot != "kind":
-                setattr(self, slot, fields.pop(slot, None))
-        if fields:
-            raise TypeError(f"unknown logical-op fields {sorted(fields)}")
-
-    def __repr__(self) -> str:
-        return f"_LogicalOp({self.kind!r}, variable={self.variable!r})"
-
-
 class Plan:
     """An executable query plan with a readable, cost-annotated trace.
 
@@ -247,24 +134,8 @@ class Plan:
         planner reaches each range's live :class:`TableStatistics` and
         persistent indexes through it; with ``None`` (or a plain mapping)
         per-range statistics are computed on the fly.
-    cost_based:
-        ``True`` (default) enables cost-ordered joins, selection
-        push-through and index reuse; ``False`` reproduces the PR 2
-        planner exactly (syntactic join order, residual last).
-    use_indexes:
-        Whether an unfiltered table range may be joined by probing a
-        persistent index covering the fused join key.
-    cost_model:
-        The :class:`~repro.stats.CostModel` used for the estimates.
-    streaming:
-        ``True`` (default): :meth:`execute` compiles the logical plan to
-        a :mod:`repro.exec` operator tree and drains it — no intermediate
-        ``XRelation`` is ever built.  ``False``: every step materialises
-        a full intermediate (the pre-exec behaviour), kept as the
-        differential/benchmark baseline.  Both run the *same* logical
-        plan, so their step traces are directly comparable.
     block_size:
-        Tuples per exchanged block on the streaming path.
+        Tuples per block exchanged between operators.
     parallelism:
         The default partition count for :meth:`compile`.  ``None``/``0``
         (the default) and ``1`` compile the plain serial tree; ``N >= 2``
@@ -274,20 +145,6 @@ class Plan:
         :func:`repro.stats.suggest_parallelism` — serial below ~50k
         estimated input rows or when :mod:`multiprocessing` is unusable,
         CPU-count-capped otherwise.
-    parallel_mode:
-        ``"process"`` (default) runs the partitions in a
-        :mod:`multiprocessing` pool; ``"inline"`` runs the identical
-        fragment code sequentially in this process (the automatic
-        fallback on platforms without multiprocessing, and the cheap
-        mode for correctness testing).
-    join_enumeration:
-        ``"dp"`` (default) finds the cheapest left-deep combination
-        order by Selinger-style dynamic programming over connected
-        subgraphs — Cartesian products considered only for subsets with
-        no linked extension — minimising the *total* estimated
-        intermediate rows; above :data:`DP_JOIN_THRESHOLD` ranges it
-        falls back automatically.  ``"greedy"`` keeps the PR 3
-        per-step-minimal order unconditionally.
     """
 
     def __init__(
@@ -295,33 +152,17 @@ class Plan:
         query: Query,
         database=None,
         *,
-        cost_based: bool = True,
-        use_indexes: bool = True,
-        cost_model: Optional[CostModel] = None,
-        streaming: bool = True,
         block_size: int = BLOCK_SIZE,
         parallelism: Optional[Union[int, str]] = None,
-        parallel_mode: str = "process",
-        join_enumeration: str = "dp",
     ):
         self.query = query
         self.database = database
-        self.cost_based = cost_based
-        self.use_indexes = use_indexes
-        self.cost_model = cost_model if cost_model is not None else DEFAULT_COST_MODEL
-        self.streaming = streaming
         self.block_size = block_size
         self.parallelism = parallelism
-        self.parallel_mode = parallel_mode
-        if join_enumeration not in ("dp", "greedy"):
-            raise ValueError(
-                f"join_enumeration must be 'dp' or 'greedy', got {join_enumeration!r}"
-            )
-        self.join_enumeration = join_enumeration
         self.steps: List[str] = []
-        #: The last compiled streaming pipeline (set by :meth:`execute`).
+        #: The last compiled pipeline (set by :meth:`compile`).
         self.pipeline: Optional[Pipeline] = None
-        self._ops: Optional[List[_LogicalOp]] = None
+        self._ops: Optional[List[LogicalOp]] = None
         self._start: Optional[str] = None
         self._plan_contexts: Optional[Dict[str, _RangeContext]] = None
         self._metric_handles = None
@@ -329,48 +170,35 @@ class Plan:
     def explain(self) -> str:
         return "\n".join(f"{i + 1}. {step}" for i, step in enumerate(self.steps))
 
-    # -- construction --------------------------------------------------------
-    @staticmethod
-    def _qualify(variable: str, attribute: str) -> str:
-        return f"{variable}.{attribute}"
-
-    def _table_of(self, relation: Relation):
-        finder = getattr(self.database, "table_for_relation", None)
-        if finder is None:
-            return None
-        return finder(relation)
-
-    def _contexts(self) -> Dict[str, _RangeContext]:
-        return {
-            variable: _RangeContext(variable, relation, self._table_of(relation))
-            for variable, relation in self.query.ranges.items()
-        }
-
-    # -- execution -----------------------------------------------------------
     def execute(self) -> XRelation:
-        """Plan, execute and return the answer x-relation."""
-        if not self.cost_based:
-            return self._execute_syntactic()
-        if not self.streaming:
-            return self._execute_materializing()
+        """Plan, compile, drain and return the answer x-relation."""
         pipeline = self.compile()
         answer = pipeline.run()
         self.steps = pipeline.step_lines()
         return answer
 
     # -- the planning phase (estimate-driven, touches no rows) ---------------
-    def logical_plan(self) -> List[_LogicalOp]:
+    def logical_plan(self) -> List[LogicalOp]:
         """The cost-ordered logical plan (cached; pure — no rows read)."""
         if self._ops is None:
             self._ops = self._build_logical_plan()
         return self._ops
 
-    def _build_logical_plan(self) -> List[_LogicalOp]:
-        query = self.query
-        model = self.cost_model
-        ops: List[_LogicalOp] = []
+    def _contexts(self) -> Dict[str, _RangeContext]:
+        finder = getattr(self.database, "table_for_relation", None)
+        return {
+            variable: _RangeContext(
+                variable, relation, finder(relation) if finder is not None else None
+            )
+            for variable, relation in self.query.ranges.items()
+        }
 
-        pushable, residual = _split_conjuncts(query.where)
+    def _build_logical_plan(self) -> List[LogicalOp]:
+        query = self.query
+        model = DEFAULT_COST_MODEL
+        ops: List[LogicalOp] = []
+
+        pushable, residual = split_conjuncts(query.where)
 
         # Classify the residual conjuncts: equality links between two
         # ranges feed the join enumeration; single-variable conjuncts are
@@ -379,8 +207,8 @@ class Plan:
         equijoins: List[Comparison] = []
         single_variable: Dict[str, List[Predicate]] = {}
         deferred: List[Predicate] = []
-        for conjunct in _flatten(residual):
-            if _is_equijoin(conjunct):
+        for conjunct in flatten(residual):
+            if is_equijoin(conjunct):
                 equijoins.append(conjunct)
                 continue
             references = conjunct.references()
@@ -391,14 +219,13 @@ class Plan:
 
         variables = list(query.ranges)
         declaration = {variable: i for i, variable in enumerate(variables)}
-        contexts = self._contexts()
-        self._plan_contexts = contexts
+        contexts = self._plan_contexts = self._contexts()
 
         # Step 1: rename each range with a variable prefix (lazy — the
         # step records the logical operation; rows move only at run time).
         for variable, relation in query.ranges.items():
-            ops.append(_LogicalOp("rename", variable=variable,
-                                  described=relation.name))
+            ops.append(LogicalOp("rename", variable=variable,
+                                 described=relation.name))
 
         # Step 2: push single-variable selections — constant comparisons
         # first (equality conjuncts served straight from a covering
@@ -408,7 +235,7 @@ class Plan:
             context = contexts[variable]
             conjuncts = self._plan_index_selection(ops, context, conjuncts)
             for conjunct in conjuncts:
-                attribute, op, constant = _constant_parts(conjunct)
+                attribute, op, constant = constant_parts(conjunct)
                 # The constant's value lets a fresh ANALYZE-built
                 # histogram replace the 1/3 range guess; the table's
                 # adaptive correction folds observed misestimates in.
@@ -418,7 +245,7 @@ class Plan:
                 ) * context.correction()
                 context.est = estimate
                 context.filtered = True
-                ops.append(_LogicalOp(
+                ops.append(LogicalOp(
                     "select", variable=variable, conjunct=conjunct,
                     attribute=attribute, op=op, constant=constant, est=estimate,
                 ))
@@ -426,12 +253,12 @@ class Plan:
             context = contexts[variable]
             for conjunct in conjuncts:
                 estimate = (
-                    context.est * self._residual_factor(conjunct)
+                    context.est * _residual_factor(conjunct)
                     * context.correction()
                 )
                 context.est = estimate
                 context.filtered = True
-                ops.append(_LogicalOp(
+                ops.append(LogicalOp(
                     "select-var-residual", variable=variable,
                     conjunct=conjunct, est=estimate,
                 ))
@@ -439,11 +266,11 @@ class Plan:
         # Step 3: cost-ordered combination.  The DP enumerator finds the
         # left-deep order minimising the *total* estimated intermediate
         # rows (Selinger-style over connected subgraphs, products
-        # deferred); when it declines — greedy mode, a single range, or
-        # more than DP_JOIN_THRESHOLD ranges — the PR 3 greedy order is
-        # used: estimated-smallest start, then at each step the linked
-        # range with the smallest estimated join output, products
-        # (smallest first) only when nothing is linked.
+        # deferred); when it declines — a single range, or more than
+        # DP_JOIN_THRESHOLD ranges — the greedy order is used:
+        # estimated-smallest start, then at each step the linked range
+        # with the smallest estimated join output, products (smallest
+        # first) only when nothing is linked.
         order = self._dp_join_order(variables, declaration, contexts,
                                     equijoins, deferred)
         if order is not None:
@@ -456,7 +283,7 @@ class Plan:
         current = contexts[start].est
         distincts: Dict[str, float] = {}
 
-        current = self._plan_deferred(ops, current, deferred, included, variables)
+        current = self._plan_deferred(ops, current, deferred, included)
 
         while remaining:
             best = None
@@ -464,19 +291,19 @@ class Plan:
                 # Follow the DP-chosen order; whether the next range
                 # joins or products falls out of its links as usual.
                 candidate = order[len(included)]
-                links = _pick_equijoins(equijoins, included, candidate)
+                links = pick_equijoins(equijoins, included, candidate)
                 if links:
-                    pairs = _orient_links(links, included)
+                    pairs = orient_links(links, included)
                     estimate = self._join_estimate(
                         current, distincts, contexts, contexts[candidate], pairs
                     )
                     best = (None, candidate, links, pairs, estimate)
             else:
                 for variable in remaining:
-                    links = _pick_equijoins(equijoins, included, variable)
+                    links = pick_equijoins(equijoins, included, variable)
                     if not links:
                         continue
-                    pairs = _orient_links(links, included)
+                    pairs = orient_links(links, included)
                     estimate = self._join_estimate(
                         current, distincts, contexts, contexts[variable], pairs
                     )
@@ -490,51 +317,52 @@ class Plan:
                     variable = min(
                         remaining, key=lambda v: (contexts[v].est, declaration[v])
                     )
-                context = contexts[variable]
-                estimate = model.product_cardinality(current, context.est)
-                ops.append(_LogicalOp("product", variable=variable, est=estimate))
+                estimate = model.product_cardinality(current, contexts[variable].est)
+                ops.append(LogicalOp("product", variable=variable, est=estimate))
             else:
                 _, variable, links, pairs, estimate = best
                 for link in links:
                     equijoins.remove(link)
                 context = contexts[variable]
                 index = None
-                if self.use_indexes and context.table is not None and not context.filtered:
+                if context.table is not None and not context.filtered:
                     index = context.table.find_index(
                         [new.attribute for _, new in pairs]
                     )
-                ops.append(_LogicalOp(
+                ops.append(LogicalOp(
                     "join", variable=variable, pairs=pairs, est=estimate,
-                    index=index,
+                    index=index.attributes if index is not None else None,
+                    index_name=index.name if index is not None else None,
                 ))
                 _fold_join_distincts(distincts, contexts, pairs, estimate)
             included.add(variable)
             remaining.remove(variable)
-            current = estimate
-            current = self._plan_deferred(ops, current, deferred, included, variables)
+            current = self._plan_deferred(ops, estimate, deferred, included)
 
         # Safety net: any equality conjunct the enumeration did not
         # consume (not reachable in practice) is applied as a selection.
         for conjunct in equijoins + deferred:
-            estimate = current * self._residual_factor(conjunct)
-            current = estimate
-            ops.append(_LogicalOp("residual", conjunct=conjunct, est=estimate))
+            current *= _residual_factor(conjunct)
+            ops.append(LogicalOp("residual", conjunct=conjunct, est=current))
 
-        ops.append(_LogicalOp("project", targets=self._qualified_targets()))
+        ops.append(LogicalOp("project", targets=[
+            (output, f"{ref.variable}.{ref.attribute}")
+            for output, ref in query.target
+        ]))
         return ops
 
     def _plan_index_selection(
-        self, ops: List[_LogicalOp], context: _RangeContext,
+        self, ops: List[LogicalOp], context: _RangeContext,
         conjuncts: List[Comparison],
     ) -> List[Comparison]:
         """Plan serving pushed equality conjuncts from a covering
         persistent index (one bucket probe instead of a scan); returns
         the conjuncts the index did not consume."""
-        if not self.use_indexes or context.table is None or context.filtered:
+        if context.table is None or context.filtered:
             return conjuncts
         by_attr: Dict[str, Tuple[Comparison, Any]] = {}
         for conjunct in conjuncts:
-            attribute, op, constant = _constant_parts(conjunct)
+            attribute, op, constant = constant_parts(conjunct)
             if op in ("=", "==") and attribute not in by_attr:
                 by_attr[attribute] = (conjunct, constant)
         if not by_attr:
@@ -546,30 +374,30 @@ class Plan:
         consumed = {id(c) for c, _ in by_attr.values()}
         estimate = context.est
         for conjunct, _ in by_attr.values():
-            attribute, op, _constant = _constant_parts(conjunct)
-            estimate = self.cost_model.estimate_selection(
+            attribute, op, _constant = constant_parts(conjunct)
+            estimate = DEFAULT_COST_MODEL.estimate_selection(
                 context.stats(), attribute, op, cardinality=estimate
             )
         estimate *= context.correction()
-        probe = [by_attr[a][1] for a in index.attributes]
         described = " and ".join(
             f"{context.variable}.{a} = {by_attr[a][1]!r}" for a in index.attributes
         )
         context.est = estimate
         context.filtered = True
-        ops.append(_LogicalOp(
-            "index-select", variable=context.variable, index=index,
-            probe=probe, described=described, est=estimate,
+        ops.append(LogicalOp(
+            "index-select", variable=context.variable,
+            index=index.attributes, index_name=index.name,
+            probe=[by_attr[a][1] for a in index.attributes],
+            described=described, est=estimate,
         ))
         return [c for c in conjuncts if id(c) not in consumed]
 
     def _plan_deferred(
         self,
-        ops: List[_LogicalOp],
+        ops: List[LogicalOp],
         current: float,
         deferred: List[Predicate],
         included: Set[str],
-        variables: Sequence[str],
     ) -> float:
         """Push residual conjuncts through: schedule each as soon as every
         range it mentions has been combined.
@@ -587,22 +415,16 @@ class Plan:
             if references and not set(references) <= included:
                 continue
             deferred.remove(conjunct)
-            estimate = current * self._residual_factor(conjunct)
-            current = estimate
+            current *= _residual_factor(conjunct)
             if ops and ops[-1].kind == "join" and ops[-1].variable in references:
                 join_op = ops[-1]
-                fused = _conjoin(_flatten(join_op.residual) + [conjunct])
-                if _pair_predicate(fused, join_op.variable) is not None:
+                fused = conjoin(flatten(join_op.residual) + [conjunct])
+                if pair_predicate(fused, join_op.variable) is not None:
                     join_op.residual = fused
-                    join_op.est = estimate
+                    join_op.est = current
                     continue
-            ops.append(_LogicalOp("residual", conjunct=conjunct, est=estimate))
+            ops.append(LogicalOp("residual", conjunct=conjunct, est=current))
         return current
-
-    def _residual_factor(self, conjunct: Predicate) -> float:
-        if isinstance(conjunct, Comparison):
-            return self.cost_model.residual_selectivity([conjunct.op])
-        return self.cost_model.theta_selectivity
 
     def _join_estimate(
         self,
@@ -615,8 +437,7 @@ class Plan:
         key_distincts = []
         null_fractions = []
         for old_ref, new_ref in pairs:
-            old_key = self._qualify(old_ref.variable, old_ref.attribute)
-            old_distinct = distincts.get(old_key)
+            old_distinct = distincts.get(f"{old_ref.variable}.{old_ref.attribute}")
             if old_distinct is None:
                 old_distinct = contexts[old_ref.variable].distinct(old_ref.attribute)
                 if old_distinct:
@@ -624,7 +445,7 @@ class Plan:
             new_distinct = context.distinct(new_ref.attribute)
             key_distincts.append((old_distinct, new_distinct))
             null_fractions.append((0.0, context.null_fraction(new_ref.attribute)))
-        return self.cost_model.join_cardinality(
+        return DEFAULT_COST_MODEL.join_cardinality(
             current, context.est, key_distincts, null_fractions
         )
 
@@ -650,12 +471,9 @@ class Plan:
         exactly the costs that selected it.  Ties break toward
         declaration order, keeping plans deterministic.
         """
-        if self.join_enumeration != "dp":
-            return None
         count = len(variables)
         if count < 2 or count > DP_JOIN_THRESHOLD:
             return None
-        model = self.cost_model
 
         deferred_refs = [
             (conjunct, frozenset(conjunct.references())) for conjunct in deferred
@@ -666,7 +484,7 @@ class Plan:
             # applies the moment its variables are all combined.
             for conjunct, refs in deferred_refs:
                 if refs and refs <= after and not refs <= before:
-                    estimate *= self._residual_factor(conjunct)
+                    estimate *= _residual_factor(conjunct)
             return estimate
 
         linked: Dict[str, Set[str]] = {v: set() for v in variables}
@@ -695,10 +513,10 @@ class Plan:
                     v for v in variables if v not in subset
                 ]
                 for variable in candidates:
-                    links = _pick_equijoins(equijoins, set(subset), variable)
+                    links = pick_equijoins(equijoins, set(subset), variable)
                     branch_distincts = dict(distincts)
                     if links:
-                        pairs = _orient_links(links, set(subset))
+                        pairs = orient_links(links, set(subset))
                         estimate = self._join_estimate(
                             current, branch_distincts, contexts,
                             contexts[variable], pairs,
@@ -707,7 +525,7 @@ class Plan:
                             branch_distincts, contexts, pairs, estimate
                         )
                     else:
-                        estimate = model.product_cardinality(
+                        estimate = DEFAULT_COST_MODEL.product_cardinality(
                             current, contexts[variable].est
                         )
                     extended = subset | frozenset((variable,))
@@ -724,34 +542,20 @@ class Plan:
                         states[extended] = branch
         return list(states[frozenset(variables)][1])
 
-    def _qualified_targets(self) -> List[Tuple[str, str]]:
-        return [
-            (output, self._qualify(ref.variable, ref.attribute))
-            for output, ref in self.query.target
-        ]
-
-    # -- shared step texts ----------------------------------------------------
+    # -- step texts -----------------------------------------------------------
     @staticmethod
-    def _join_on_text(pairs: Sequence[Tuple[AttributeRef, AttributeRef]]) -> str:
-        described = [
-            f"{old.variable}.{old.attribute} = {new.variable}.{new.attribute}"
-            for old, new in pairs
-        ]
-        return described[0] if len(described) == 1 else "[" + ", ".join(described) + "]"
-
-    def _step_text(self, op: _LogicalOp) -> str:
-        """The logical step line (sans annotations) — one format path for
-        the materializing and the streaming executor."""
+    def _step_text(op: LogicalOp) -> str:
+        """The logical step line (sans annotations)."""
         if op.kind == "rename":
             return f"rename {op.described} as {op.variable}(…)"
         if op.kind == "index-select":
-            return f"index select {op.described} using index {op.index.name}"
+            return f"index select {op.described} using index {op.index_name}"
         if op.kind == "select":
             return f"select {op.conjunct!r} on {op.variable}"
         if op.kind == "select-var-residual":
             return f"select residual {op.conjunct!r} on {op.variable}"
         if op.kind == "join":
-            on = self._join_on_text(op.pairs)
+            on = join_on_text(op.pairs)
             fused = (
                 f" with fused residual {op.residual!r}"
                 if op.residual is not None else ""
@@ -759,7 +563,7 @@ class Plan:
             if op.index is not None:
                 return (
                     f"index-nested-loop join with {op.variable} using index "
-                    f"{op.index.name} on {on}{fused}"
+                    f"{op.index_name} on {on}{fused}"
                 )
             return f"hash equi-join with {op.variable} on {on}{fused}"
         if op.kind == "product":
@@ -770,45 +574,107 @@ class Plan:
             return f"project onto {[o for o, _ in op.targets]}"
         raise ValueError(f"unknown logical op kind {op.kind!r}")
 
-    # -- the streaming compiler (logical plan → physical operator tree) ------
-    def compile(
-        self,
-        parallelism: Optional[Union[int, str]] = None,
-        parallel_mode: Optional[str] = None,
-    ) -> Pipeline:
-        """Compile the logical plan into a fresh streaming pipeline.
+    # -- compilation (logical plan → operator tree, via the one builder) -----
+    def compile(self, parallelism: Optional[Union[int, str]] = None) -> Pipeline:
+        """Compile the logical plan into a fresh single-use pipeline.
 
-        The tree pulls blocks leaf-to-root and builds **no** intermediate
-        ``XRelation``: pushed selections are :class:`Filter` nodes over a
-        :class:`TableScan` (or an :class:`IndexProbe` bucket), joins
-        bucket only the (filtered, unrenamed) build side and rename only
-        matched rows, residual conjuncts filter rows in flight, and the
-        single materialisation happens when the
-        :class:`~repro.exec.pipeline.Pipeline` is drained.  Each call
-        returns a new single-use tree; the logical plan is computed once.
-
-        *parallelism* / *parallel_mode* override the constructor
-        defaults: with a resolved partition count of 2 or more the same
-        logical plan compiles into an
+        Serial (a resolved partition count of 1): the bare streaming
+        tree over the live tables and indexes — first rows arrive before
+        the inputs are exhausted, and the single materialisation happens
+        when the :class:`~repro.exec.pipeline.Pipeline` is drained.
+        *parallelism* overrides the constructor default; with 2 or more
+        partitions the same ops run as per-shard fragments under an
         :class:`~repro.exec.Exchange`/:class:`~repro.exec.Merge` pair
-        over per-partition plan fragments instead (``1`` — explicit or
-        resolved from ``"auto"`` — returns the plain serial tree, so a
-        ``parallelism=1`` run is the serial run, block for block).
+        (``1`` — explicit or resolved from ``"auto"`` — is the serial
+        tree, block for block).  The logical plan is computed once.
         """
-        if not self.cost_based:
-            raise ValueError("streaming compilation requires the cost-based planner")
-        resolved = self._resolve_parallelism(parallelism)
-        if resolved <= 1:
-            pipeline = self._compile_serial()
+        ops = self.logical_plan()
+        contexts = self._plan_contexts
+        partitions = self._resolve_parallelism(parallelism)
+        mappings = {v: context.mapping for v, context in contexts.items()}
+        indexes = {}
+        for op in ops:
+            if op.index is not None:
+                index = contexts[op.variable].table.find_index(op.index)
+                if index is None:
+                    raise StaleResultError(
+                        f"index {op.index_name} was dropped after this "
+                        f"query was planned; plan it again"
+                    )
+                indexes[op.variable] = index
+        if partitions <= 1:
+            sources = {v: context.relation.tuples() for v, context in contexts.items()}
+            root, nodes = build_tree(
+                ops, sources, indexes, mappings, self._start, self.block_size
+            )
         else:
-            mode = parallel_mode if parallel_mode is not None else self.parallel_mode
-            pipeline = self._compile_parallel(resolved, mode)
-        self._record_plan_metrics(resolved)
-        return pipeline
+            nodes = [None] * len(ops)  # built later, inside the shard workers
+        trace = self._trace(ops, nodes)
+        # One staleness stamp per table the tree probes *live* (the inner
+        # side of every index-nested-loop join); every other leaf
+        # snapshots its rows now and needs no guard.
+        guards = [
+            StalenessGuard(contexts[op.variable].table)
+            for op, node in zip(ops, nodes) if isinstance(node, IndexNLJoin)
+        ]
+        if partitions > 1:
+            # Workers are shared-nothing and their fragments are built
+            # only when the tree drains, so every range is resolved and
+            # snapshotted here: an index-selected range ships its probed
+            # bucket, every other range its rows.
+            probes = {
+                op.variable: op.probe for op in ops if op.kind == "index-select"
+            }
+            sources = {
+                v: list(
+                    indexes[v].lookup(probes[v]) if v in probes
+                    else context.relation.tuples()
+                )
+                for v, context in contexts.items()
+            }
+            root, scheme = exchange_tree(
+                ops, sources, mappings, self._start, partitions,
+                self.block_size, trace_steps=trace,
+            )
+            trace.append(TraceStep(
+                f"exchange over {partitions} partitions ({scheme})",
+                node=root.child,
+            ))
+            trace.append(TraceStep("merge + reduce the shard frontier", node=root))
+        self._record_plan_metrics(partitions, nodes)
+        self.pipeline = Pipeline(
+            root, self.query.output_schema(), trace, guards=guards
+        )
+        return self.pipeline
 
-    def _record_plan_metrics(self, partitions: int) -> None:
+    def _trace(
+        self, ops: Sequence[LogicalOp], nodes: Sequence[Optional[PhysicalOperator]]
+    ) -> List[TraceStep]:
+        """One trace step per op, reading its measured rows from *node*
+        (``None``: the op runs in shard workers and the Exchange audit
+        fills the count in).  A selection step names its stored table,
+        so the adaptive-feedback loop knows whose estimate it audits."""
+        contexts = self._plan_contexts
+        return [
+            TraceStep(
+                self._step_text(op), est=op.est, node=node,
+                table=(
+                    contexts[op.variable].table
+                    if op.kind in _SELECTION_KINDS else None
+                ),
+            )
+            for op, node in zip(ops, nodes)
+        ]
+
+    def _record_plan_metrics(
+        self, partitions: int, nodes: Sequence[Optional[PhysicalOperator]]
+    ) -> None:
         """Count this compilation and its physical join choices in the
         database's metrics registry (one bump per compiled pipeline).
+
+        The strategy is read off the operator the builder constructed
+        for each combine step; a parallel compile builds none here (its
+        fragments get no indexes, so their joins are hash joins).
 
         A cached prepared statement recompiles its pipeline on every
         execution, so the label children are resolved once per Plan and
@@ -837,16 +703,16 @@ class Plan:
                 "product": choices.labels(strategy="product"),
             }
         handles["parallel" if partitions > 1 else "serial"].inc()
-        for op in self.logical_plan():
+        for op, node in zip(self.logical_plan(), nodes):
             if op.kind == "join":
-                handles["index_nl" if op.index is not None else "hash"].inc()
+                handles["index_nl" if isinstance(node, IndexNLJoin) else "hash"].inc()
             elif op.kind == "product":
                 handles["product"].inc()
 
     def _resolve_parallelism(
         self, parallelism: Optional[Union[int, str]]
     ) -> int:
-        """Turn a ``parallelism`` knob value into a partition count.
+        """Turn a ``parallelism`` value into a partition count.
 
         ``None`` defers to the constructor's setting; ``None``/``0``
         there means serial.  ``"auto"`` consults
@@ -860,728 +726,24 @@ class Plan:
             return 1
         if parallelism == "auto":
             self.logical_plan()  # populates the per-range contexts
-            contexts = self._plan_contexts or {}
-            estimated = float(sum(
-                context.stats().row_count for context in contexts.values()
-            ))
-            return suggest_parallelism(estimated)
+            return suggest_parallelism(float(sum(
+                context.stats().row_count
+                for context in self._plan_contexts.values()
+            )))
         count = int(parallelism)
         if count < 1:
             raise ValueError(f"parallelism must be >= 1, got {count}")
         return count
 
-    def _compile_serial(self) -> Pipeline:
-        """The single-process compiler behind :meth:`compile`."""
-        ops = self.logical_plan()
-        contexts = self._plan_contexts
-        variables = list(self.query.ranges)
-        block_size = self.block_size
-        trace: List[TraceStep] = []
-        # One staleness stamp per table the tree will probe *live* (the
-        # inner side of every index-nested-loop join); every other leaf
-        # snapshots its rows at execute time and needs no guard.
-        guards: List[StalenessGuard] = []
-        chains: Dict[str, Optional[PhysicalOperator]] = {v: None for v in variables}
-
-        def scan(variable: str) -> PhysicalOperator:
-            node = chains[variable]
-            if node is None:
-                relation = contexts[variable].relation
-                node = TableScan(
-                    relation.tuples(),
-                    label=f"TableScan {relation.name} ({variable})",
-                    est=float(len(relation)),
-                    block_size=block_size,
-                )
-                chains[variable] = node
-            return node
-
-        def transform_for(variable: str):
-            mapping = contexts[variable].mapping
-            return lambda row, _mapping=mapping: row.rename(_mapping)
-
-        combined: Optional[PhysicalOperator] = None
-
-        def combined_node() -> PhysicalOperator:
-            nonlocal combined
-            if combined is None:
-                start = self._start
-                combined = Rename(
-                    scan(start), contexts[start].mapping,
-                    label=f"Rename {start}.*",
-                    est=contexts[start].est, block_size=block_size,
-                )
-            return combined
-
-        for op in ops:
-            text = self._step_text(op)
-            if op.kind == "rename":
-                trace.append(TraceStep(text))
-            elif op.kind == "index-select":
-                node = IndexProbe(
-                    op.index.lookup, op.probe,
-                    label=f"IndexProbe {op.index.name} ({op.variable})",
-                    est=op.est, block_size=block_size,
-                )
-                chains[op.variable] = node
-                trace.append(TraceStep(
-                    text, est=op.est, node=node,
-                    table=contexts[op.variable].table,
-                ))
-            elif op.kind == "select":
-                node = Filter(
-                    scan(op.variable),
-                    algebra.constant_predicate(op.attribute, op.op, op.constant),
-                    label=f"Filter {op.variable}.{op.attribute} {op.op} {op.constant!r}",
-                    est=op.est, block_size=block_size,
-                )
-                chains[op.variable] = node
-                trace.append(TraceStep(
-                    text, est=op.est, node=node,
-                    table=contexts[op.variable].table,
-                ))
-            elif op.kind == "select-var-residual":
-                node = Filter(
-                    scan(op.variable),
-                    _single_variable_predicate(op.conjunct, op.variable),
-                    label=f"Filter {op.conjunct!r} ({op.variable})",
-                    est=op.est, block_size=block_size,
-                )
-                chains[op.variable] = node
-                trace.append(TraceStep(
-                    text, est=op.est, node=node,
-                    table=contexts[op.variable].table,
-                ))
-            elif op.kind == "join":
-                left = combined_node()
-                on = self._join_on_text(op.pairs)
-                residual = (
-                    _pair_predicate(op.residual, op.variable)
-                    if op.residual is not None else None
-                )
-                if op.index is not None:
-                    bare_to_combined = {
-                        new.attribute: self._qualify(old.variable, old.attribute)
-                        for old, new in op.pairs
-                    }
-                    probe_attrs = [bare_to_combined[a] for a in op.index.attributes]
-                    node = IndexNLJoin(
-                        left, op.index.lookup, probe_attrs,
-                        transform_for(op.variable),
-                        residual=residual,
-                        label=f"IndexNLJoin {op.index.name} on {on}",
-                        est=op.est, block_size=block_size,
-                    )
-                    inner_table = contexts[op.variable].table
-                    if inner_table is not None:
-                        guards.append(StalenessGuard(inner_table))
-                else:
-                    build_attrs = [new.attribute for _, new in op.pairs]
-                    probe_attrs = [
-                        self._qualify(old.variable, old.attribute)
-                        for old, _ in op.pairs
-                    ]
-                    node = HashJoin(
-                        left, scan(op.variable), build_attrs, probe_attrs,
-                        transform_for(op.variable),
-                        residual=residual,
-                        label=f"HashJoin on {on}",
-                        est=op.est, block_size=block_size,
-                    )
-                combined = node
-                trace.append(TraceStep(text, est=op.est, node=node))
-            elif op.kind == "product":
-                node = Product(
-                    combined_node(), scan(op.variable),
-                    transform_for(op.variable),
-                    label=f"Product with {op.variable}",
-                    est=op.est, block_size=block_size,
-                )
-                combined = node
-                trace.append(TraceStep(text, est=op.est, node=node))
-            elif op.kind == "residual":
-                node = Filter(
-                    combined_node(),
-                    _residual_predicate(op.conjunct, variables),
-                    label=f"Filter {op.conjunct!r}",
-                    est=op.est, block_size=block_size,
-                )
-                combined = node
-                trace.append(TraceStep(text, est=op.est, node=node))
-            elif op.kind == "project":
-                node = Project(
-                    combined_node(), op.targets,
-                    label=f"Project {[o for o, _ in op.targets]}",
-                    block_size=block_size,
-                )
-                combined = node
-                trace.append(TraceStep(text, node=node, show_est=False))
-        pipeline = Pipeline(
-            combined, self.query.output_schema(), trace,
-            guards=guards,
-            database_epoch=getattr(self.database, "epoch", None),
-        )
-        self.pipeline = pipeline
-        return pipeline
-
-    # -- the parallel compiler (logical plan → Exchange/Merge over fragments) -
-    def _compile_parallel(self, partitions: int, mode: str) -> Pipeline:
-        """Compile the logical plan into *partitions* parallel fragments.
-
-        The coordinator resolves every range's rows up front (workers are
-        shared-nothing — they never see a live ``Database`` or index, so
-        an index-selected range ships its probed bucket and a join that
-        would run index-nested-loop serially runs as a hash join over the
-        shipped rows inside the fragments).  The partition scheme:
-
-        * when the plan's first combining step is an equi-join, both its
-          sides are **co-partitioned** on the fused key — start-range
-          rows by their key values, the joined range's rows by theirs —
-          so every matching pair meets inside one worker, and rows null
-          on a key attribute (which the join would drop anyway) are
-          never shipped;
-        * otherwise (single-range or product-first plans) the start
-          range is partitioned by null-pattern **signature**, which
-          groups identical rows — maximal local reduction per worker;
-        * every other range is broadcast whole.
-
-        Correctness does not depend on the scheme: each serial output
-        row derives from exactly one start-range row, so the shard
-        outputs cover the serial output, and the final
-        :class:`~repro.exec.Merge` reduction restores global minimal
-        form for *any* partition function (reduction only removes
-        dominated rows; dominance is transitive).
-        """
-        ops = self.logical_plan()
-        contexts = self._plan_contexts
-        variables = list(self.query.ranges)
-        start = self._start
-
-        resolved: Dict[str, List[XTuple]] = {}
-        steps: List[Tuple] = []
-        for op in ops:
-            if op.kind == "rename":
-                steps.append(("rename", op.variable))
-            elif op.kind == "index-select":
-                resolved[op.variable] = list(op.index.lookup(op.probe))
-                steps.append(("source", op.variable))
-            elif op.kind == "select":
-                steps.append((
-                    "select", op.variable, op.attribute, op.op, op.constant,
-                ))
-            elif op.kind == "select-var-residual":
-                steps.append(("select-var", op.variable, op.conjunct))
-            elif op.kind == "join":
-                steps.append(("join", op.variable, tuple(op.pairs), op.residual))
-            elif op.kind == "product":
-                steps.append(("product", op.variable))
-            elif op.kind == "residual":
-                steps.append(("residual", op.conjunct))
-            elif op.kind == "project":
-                steps.append(("project", tuple(op.targets)))
-            else:
-                raise ValueError(f"unknown logical op kind {op.kind!r}")
-        for variable in variables:
-            if variable not in resolved:
-                resolved[variable] = list(contexts[variable].relation.tuples())
-
-        first_combine = next(
-            (op for op in ops if op.kind in ("join", "product")), None
-        )
-        sharded: Dict[str, List[List[XTuple]]] = {}
-        if first_combine is not None and first_combine.kind == "join":
-            # At the plan's first join the combined side is exactly the
-            # start range, so every pair's old ref names a bare start
-            # attribute — both sides hash the same key values.
-            pairs = first_combine.pairs
-            start_key = [old.attribute for old, _ in pairs]
-            build_key = [new.attribute for _, new in pairs]
-            sharded[start] = partition_rows_by_key(
-                resolved[start], start_key, partitions
-            )
-            sharded[first_combine.variable] = partition_rows_by_key(
-                resolved[first_combine.variable], build_key, partitions
-            )
-            scheme = "co-partitioned on " + "+".join(
-                f"{start}.{a}" for a in start_key
-            )
-        else:
-            sharded[start] = partition_rows_by_signature(
-                resolved[start], partitions
-            )
-            scheme = "signature-partitioned"
-
-        partition_sources: List[Dict[str, List[XTuple]]] = []
-        for i in range(partitions):
-            partition_sources.append({
-                variable: (
-                    sharded[variable][i]
-                    if variable in sharded else resolved[variable]
-                )
-                for variable in variables
-            })
-        partitioned_rows = [
-            sum(len(shards[i]) for shards in sharded.values())
-            for i in range(partitions)
-        ]
-
-        fragment = PlanFragment(
-            steps,
-            {variable: contexts[variable].mapping for variable in variables},
-            start,
-            variables,
-        )
-        trace: List[TraceStep] = []
-        op_steps: List[TraceStep] = []
-        for op in ops:
-            text = self._step_text(op)
-            if op.kind == "rename":
-                step = TraceStep(text)
-            elif op.kind == "project":
-                step = TraceStep(text, show_est=False)
-            else:
-                step = TraceStep(text, est=op.est)
-            op_steps.append(step)
-            trace.append(step)
-        exchange = Exchange(
-            fragment, partition_sources,
-            partitioned_rows=partitioned_rows, mode=mode,
-            trace_steps=op_steps,
-            label=f"Exchange [{partitions} partitions, {mode}, {scheme}]",
-            block_size=self.block_size,
-        )
-        merge = Merge(exchange, block_size=self.block_size)
-        trace.append(TraceStep(
-            f"exchange over {partitions} partitions ({scheme}, {mode})",
-            node=exchange, show_est=False,
-        ))
-        trace.append(TraceStep(
-            "merge + reduce the shard frontier", node=merge, show_est=False,
-        ))
-        pipeline = Pipeline(merge, self.query.output_schema(), trace)
-        self.pipeline = pipeline
-        return pipeline
-
-    # -- the materializing executor (the pre-exec behaviour, step for step) --
-    def _execute_materializing(self) -> XRelation:
-        """Interpret the logical plan eagerly: every step builds a full
-        intermediate ``XRelation``.  The differential baseline for the
-        streaming path — same logical plan, so the two step traces are
-        directly comparable row count for row count."""
-        ops = self.logical_plan()
-        contexts = self._contexts()
-        variables = list(self.query.ranges)
-        trace: List[TraceStep] = []
-        combined: Optional[XRelation] = None
-
-        def combined_relation() -> XRelation:
-            nonlocal combined
-            if combined is None:
-                combined = contexts[self._start].materialized()
-            return combined
-
-        for op in ops:
-            text = self._step_text(op)
-            if op.kind == "rename":
-                trace.append(TraceStep(text))
-            elif op.kind == "index-select":
-                context = contexts[op.variable]
-                context.set_base_rows(op.index.lookup(op.probe))
-                context.est = op.est
-                trace.append(TraceStep(text, est=op.est, fixed_rows=context.cardinality))
-            elif op.kind == "select":
-                context = contexts[op.variable]
-                context.push_constant(op.conjunct)
-                context.est = op.est
-                trace.append(TraceStep(text, est=op.est, fixed_rows=context.cardinality))
-            elif op.kind == "select-var-residual":
-                context = contexts[op.variable]
-                context.push_predicate(op.conjunct)
-                context.est = op.est
-                trace.append(TraceStep(text, est=op.est, fixed_rows=context.cardinality))
-            elif op.kind == "join":
-                combined = self._execute_join(
-                    combined_relation(), contexts[op.variable], op
-                )
-                trace.append(TraceStep(text, est=op.est, fixed_rows=len(combined)))
-            elif op.kind == "product":
-                combined = algebra.product(
-                    combined_relation(), contexts[op.variable].materialized()
-                )
-                trace.append(TraceStep(text, est=op.est, fixed_rows=len(combined)))
-            elif op.kind == "residual":
-                combined = algebra.select_predicate(
-                    combined_relation(), _bind_residual(op.conjunct, variables)
-                )
-                trace.append(TraceStep(text, est=op.est, fixed_rows=len(combined)))
-            elif op.kind == "project":
-                result = self._project(combined_relation(), op.targets)
-                trace.append(TraceStep(text, fixed_rows=len(result)))
-        self.steps = [step.render() for step in trace]
-        return result
-
-    def _execute_join(
-        self, combined: XRelation, context: _RangeContext, op: _LogicalOp
-    ) -> XRelation:
-        variable = context.variable
-        pairs = op.pairs
-        mapping = context.mapping
-
-        def transform(row: XTuple, _mapping=mapping) -> XTuple:
-            return row.rename(_mapping)
-
-        def wrap(rows) -> XRelation:
-            right_schema = context.relation.schema.rename(mapping, name=variable)
-            schema = combined.schema.union(
-                right_schema, name=f"({combined.name} ⋈ {variable})"
-            )
-            relation = Relation(schema, validate=False)
-            relation._rows = set(rows)
-            return XRelation(relation)
-
-        residual = (
-            _pair_predicate(op.residual, variable)
-            if op.residual is not None else None
-        )
-        if op.index is not None:
-            # Index-nested-loop join: probe the table's live index with the
-            # combined side's key values; the range is never renamed or
-            # bucketed wholesale — only matched rows are renamed, once each.
-            bare_to_combined = {
-                new.attribute: self._qualify(old.variable, old.attribute)
-                for old, new in pairs
-            }
-            probe_attrs = [bare_to_combined[a] for a in op.index.attributes]
-            return wrap(index_probe_join_rows(
-                combined.rows(), probe_attrs, op.index.lookup, transform, residual
-            ))
-
-        # Late-rename hash join: bucket the (possibly filtered) unrenamed
-        # rows on the bare key, probe with the combined side's qualified
-        # values, and rename only the matched rows — the bulk of a big
-        # range is never copied.
-        buckets = build_join_buckets(
-            context.unrenamed_rows(), [new.attribute for _, new in pairs]
-        )
-        probe_attrs = [self._qualify(old.variable, old.attribute) for old, _ in pairs]
-        empty: Tuple[XTuple, ...] = ()
-        return wrap(index_probe_join_rows(
-            combined.rows(), probe_attrs,
-            lambda key: buckets.get(key, empty), transform, residual,
-        ))
-
-    def _project(
-        self, combined: XRelation, qualified_targets: Sequence[Tuple[str, str]]
-    ) -> XRelation:
-        """Projection onto the target list with output renaming (shared by
-        the materializing and the syntactic executor)."""
-        unique = list(dict.fromkeys(qualified for _, qualified in qualified_targets))
-        if len(unique) == len(qualified_targets):
-            projected = algebra.project(combined, unique)
-            renaming = {qualified: output for output, qualified in qualified_targets}
-            return algebra.rename(projected, renaming)
-        # The same column appears under several (distinct) output names,
-        # e.g. ``(a = e.NAME, b = e.NAME)``: project/rename cannot express
-        # a column duplication, so build the output rows directly.
-        out = Relation(self.query.output_schema(), validate=False)
-        out._rows = {
-            XTuple(
-                (output, row[qualified])
-                for output, qualified in qualified_targets
-            )
-            for row in combined.rows()
-        }
-        return XRelation(out)
-
-    # -- the pre-statistics planner, kept as the differential baseline -------
-    def _execute_syntactic(self) -> XRelation:
-        """The PR 2 planner, verbatim: syntactic join order, constant
-        pushdown only, residual qualification applied after all joins, no
-        index reuse.  The benchmarks measure the optimizer against it and
-        the differential tests run both against the oracle."""
-        query = self.query
-        trace: List[TraceStep] = []
-
-        pushable, residual = _split_conjuncts(query.where)
-
-        renamed: Dict[str, XRelation] = {}
-        for variable, relation in query.ranges.items():
-            mapping = {a: self._qualify(variable, a) for a in relation.schema.attributes}
-            renamed[variable] = algebra.rename(relation, mapping)
-            trace.append(TraceStep(f"rename {relation.name} as {variable}(…)"))
-
-        for variable, conjuncts in pushable.items():
-            for conjunct in conjuncts:
-                renamed[variable] = _apply_selection(renamed[variable], variable, conjunct)
-                trace.append(TraceStep(f"select {conjunct!r} on {variable}"))
-
-        equijoins, residual = _extract_equijoins(residual)
-        variables = list(query.ranges)
-        combined = renamed[variables[0]]
-        included = {variables[0]}
-        for variable in variables[1:]:
-            links = _pick_equijoins(equijoins, included, variable)
-            if links:
-                pairs = _orient_links(links, included)
-                for link in links:
-                    equijoins.remove(link)
-                combined_attrs = [
-                    self._qualify(old.variable, old.attribute) for old, _ in pairs
-                ]
-                range_attrs = [
-                    self._qualify(new.variable, new.attribute) for _, new in pairs
-                ]
-                combined = _hash_join(
-                    combined, renamed[variable], combined_attrs, range_attrs
-                )
-                trace.append(TraceStep(
-                    f"hash equi-join with {variable} on {self._join_on_text(pairs)}"
-                ))
-            else:
-                combined = algebra.product(combined, renamed[variable])
-                trace.append(TraceStep(f"product with {variable}"))
-            included.add(variable)
-
-        # Equalities the join order could not use stay in the residual.
-        residual = _conjoin(equijoins + ([residual] if residual is not None else []))
-
-        if residual is not None:
-            predicate = _bind_residual(residual, variables)
-            combined = algebra.select_predicate(combined, predicate)
-            trace.append(TraceStep(f"select residual {residual!r}"))
-
-        qualified_targets = self._qualified_targets()
-        result = self._project(combined, qualified_targets)
-        trace.append(TraceStep(f"project onto {[o for o, _ in qualified_targets]}"))
-        self.steps = [step.render() for step in trace]
-        return result
-
 
 # ---------------------------------------------------------------------------
-# Predicate compilation for the streaming filters
+# Conjunct classification and estimate helpers
 # ---------------------------------------------------------------------------
 
-def _term_getter(term, variable: Optional[str] = None):
-    """A direct row-value getter for a comparison term, or ``None`` when
-    the term shape needs the generic evaluation machinery.  With
-    *variable* the rows carry bare attribute names (a pre-rename range
-    filter); without it they carry ``variable.attribute`` names."""
-    if isinstance(term, AttributeRef):
-        if variable is not None and term.variable != variable:
-            return None
-        key = term.attribute if variable is not None else f"{term.variable}.{term.attribute}"
-        return lambda row, _k=key: row[_k]
-    if isinstance(term, Constant):
-        value = term.literal
-        return lambda row, _v=value: _v
-    return None
-
-
-def _compile_comparisons(predicate: Predicate, variable: Optional[str] = None):
-    """Compile a conjunction of plain comparisons into one fast row
-    predicate, or return ``None`` for shapes (Or / Not / exotic terms)
-    that must go through the generic three-valued evaluator.  Keeping a
-    row iff the conjunction is TRUE is exactly "every comparison TRUE"
-    under the Table III AND semantics, so early exit is sound."""
-    conjuncts = predicate.operands if isinstance(predicate, And) else (predicate,)
-    compiled = []
-    for conjunct in conjuncts:
-        if not isinstance(conjunct, Comparison):
-            return None
-        left = _term_getter(conjunct.left, variable)
-        right = _term_getter(conjunct.right, variable)
-        if left is None or right is None:
-            return None
-        compiled.append((left, conjunct.op, right))
-
-    def predicate_fn(row: XTuple, _compiled=tuple(compiled)) -> bool:
-        for left, op, right in _compiled:
-            if not compare(left(row), op, right(row)).is_true():
-                return False
-        return True
-
-    return predicate_fn
-
-
-def _single_variable_predicate(conjunct: Predicate, variable: str):
-    """The streaming filter for a pushed single-variable residual —
-    evaluated over the *unrenamed* base rows."""
-    fast = _compile_comparisons(conjunct, variable)
-    if fast is not None:
-        return fast
-
-    def predicate(row: XTuple, _c=conjunct, _v=variable):
-        return _c.evaluate({_v: row})
-
-    return predicate
-
-
-def _residual_predicate(conjunct: Predicate, variables: Sequence[str]):
-    """The streaming filter for a residual conjunct over combined rows
-    (attributes carry their ``variable.`` prefixes)."""
-    fast = _compile_comparisons(conjunct)
-    if fast is not None:
-        return fast
-    return _bind_residual(conjunct, variables)
-
-
-def _pair_term_getter(term, new_variable: str):
-    """A value getter over a join's ``(probe row, build row)`` pair.
-
-    References to *new_variable* read the **unrenamed build row** under
-    the bare attribute name (the probe loop evaluates the residual
-    before the build row is renamed or joined — see
-    :func:`repro.core.engine.joins.probe_join_block`); references to any
-    already-combined variable read the probe row under its qualified
-    ``variable.attribute`` name.  Returns ``None`` for term shapes the
-    fast path cannot serve.
-    """
-    if isinstance(term, AttributeRef):
-        if term.variable == new_variable:
-            key = term.attribute
-            return lambda probe, build, _k=key: build[_k]
-        key = f"{term.variable}.{term.attribute}"
-        return lambda probe, build, _k=key: probe[_k]
-    if isinstance(term, Constant):
-        value = term.literal
-        return lambda probe, build, _v=value: _v
-    return None
-
-
-def _pair_predicate(predicate: Predicate, new_variable: str):
-    """Compile a residual conjunct into a fused join pair predicate.
-
-    Returns a ``(probe row, raw build row) -> bool`` function keeping
-    exactly the pairs on which the conjunction is TRUE (Table III AND
-    semantics: every comparison TRUE, so early exit is sound), or
-    ``None`` for shapes (Or / Not / exotic terms) that must stay a
-    post-join :class:`~repro.exec.Filter`.  The planner fuses a conjunct
-    only when this returns non-``None``.
-    """
-    conjuncts = predicate.operands if isinstance(predicate, And) else (predicate,)
-    compiled = []
-    for conjunct in conjuncts:
-        if not isinstance(conjunct, Comparison):
-            return None
-        left = _pair_term_getter(conjunct.left, new_variable)
-        right = _pair_term_getter(conjunct.right, new_variable)
-        if left is None or right is None:
-            return None
-        compiled.append((left, conjunct.op, right))
-
-    def pair_fn(probe: XTuple, build: XTuple, _compiled=tuple(compiled)) -> bool:
-        for left, op, right in _compiled:
-            if not compare(left(probe, build), op, right(probe, build)).is_true():
-                return False
-        return True
-
-    return pair_fn
-
-
-# ---------------------------------------------------------------------------
-# Conjunct classification helpers (shared by every planning mode)
-# ---------------------------------------------------------------------------
-
-def _flatten(predicate: Optional[Predicate]) -> List[Predicate]:
-    """Top-level conjuncts of a (possibly None) residual predicate."""
-    if predicate is None:
-        return []
-    if isinstance(predicate, And):
-        return list(predicate.operands)
-    return [predicate]
-
-
-def _is_equijoin(conjunct: Predicate) -> bool:
-    """True for a top-level ``t.A = m.B`` equality between two ranges."""
-    return (
-        isinstance(conjunct, Comparison)
-        and conjunct.op in ("=", "==")
-        and isinstance(conjunct.left, AttributeRef)
-        and isinstance(conjunct.right, AttributeRef)
-        and conjunct.left.variable != conjunct.right.variable
-    )
-
-
-_FLIPPED_OPS = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "==": "==", "!=": "!="}
-
-
-def _constant_parts(conjunct: Comparison) -> Tuple[str, str, Any]:
-    """The (attribute, operator, constant) of a pushable constant
-    comparison, normalised so the attribute reads as the left side."""
-    if isinstance(conjunct.left, AttributeRef):
-        return conjunct.left.attribute, conjunct.op, conjunct.right.literal  # type: ignore[union-attr]
-    return (
-        conjunct.right.attribute,  # type: ignore[union-attr]
-        _FLIPPED_OPS[conjunct.op],
-        conjunct.left.literal,  # type: ignore[union-attr]
-    )
-
-
-def _orient_links(
-    links: Sequence[Comparison], included: Set[str]
-) -> List[Tuple[AttributeRef, AttributeRef]]:
-    """Orient each equality as (combined-side ref, new-range-side ref)."""
-    pairs: List[Tuple[AttributeRef, AttributeRef]] = []
-    for link in links:
-        new_ref, old_ref = link.left, link.right
-        if old_ref.variable not in included:
-            new_ref, old_ref = old_ref, new_ref
-        pairs.append((old_ref, new_ref))
-    return pairs
-
-
-def _split_conjuncts(predicate: Predicate) -> Tuple[Dict[str, List[Comparison]], Optional[Predicate]]:
-    """Separate pushable single-variable conjuncts from the residual predicate."""
-    from ..core.query import TruthConstant
-
-    if isinstance(predicate, TruthConstant):
-        return {}, None
-
-    conjuncts: List[Predicate] = list(predicate.operands) if isinstance(predicate, And) else [predicate]
-    pushable: Dict[str, List[Comparison]] = {}
-    residual: List[Predicate] = []
-    for conjunct in conjuncts:
-        if isinstance(conjunct, Comparison):
-            variables = conjunct.references()
-            constant_side = isinstance(conjunct.left, Constant) or isinstance(conjunct.right, Constant)
-            if len(variables) == 1 and constant_side:
-                pushable.setdefault(variables[0], []).append(conjunct)
-                continue
-        residual.append(conjunct)
-    if not residual:
-        return pushable, None
-    if len(residual) == 1:
-        return pushable, residual[0]
-    return pushable, And(*residual)
-
-
-def _extract_equijoins(predicate: Optional[Predicate]) -> Tuple[List[Comparison], Optional[Predicate]]:
-    """Split equality conjuncts between two distinct variables from the rest.
-
-    Only top-level conjuncts of the shape ``t.A = m.B`` (both sides
-    attribute references, different range variables) are join candidates;
-    everything else stays in the residual.
-    """
-    if predicate is None:
-        return [], None
-    conjuncts: List[Predicate] = list(predicate.operands) if isinstance(predicate, And) else [predicate]
-    joins: List[Comparison] = []
-    rest: List[Predicate] = []
-    for conjunct in conjuncts:
-        if _is_equijoin(conjunct):
-            joins.append(conjunct)
-        else:
-            rest.append(conjunct)
-    return joins, _conjoin(rest)
-
-
-def _conjoin(predicates: List[Predicate]) -> Optional[Predicate]:
-    """Fold a list of conjuncts back into a predicate (None when empty)."""
-    if not predicates:
-        return None
-    if len(predicates) == 1:
-        return predicates[0]
-    return And(*predicates)
+def _residual_factor(conjunct: Predicate) -> float:
+    if isinstance(conjunct, Comparison):
+        return DEFAULT_COST_MODEL.residual_selectivity([conjunct.op])
+    return DEFAULT_COST_MODEL.theta_selectivity
 
 
 def _fold_join_distincts(
@@ -1608,82 +770,6 @@ def _fold_join_distincts(
                 max(estimate, 1.0)),
         )
         distincts[old_key] = distincts[new_key] = shared
-
-
-def _pick_equijoins(joins: List[Comparison], included: Set[str], variable: str) -> List[Comparison]:
-    """Every unused equality linking *variable* to the already-combined ranges.
-
-    All of them are fused into one composite-key hash join; returning only
-    the first would leave the rest as residual selections over a larger
-    single-key join result.
-    """
-    picked: List[Comparison] = []
-    for conjunct in joins:
-        mentioned = {conjunct.left.variable, conjunct.right.variable}
-        if variable in mentioned and (mentioned - {variable}) <= included:
-            picked.append(conjunct)
-    return picked
-
-
-def _hash_join(
-    left: XRelation,
-    right: XRelation,
-    left_attrs: Sequence[str],
-    right_attrs: Sequence[str],
-) -> XRelation:
-    """Composite-key hash equi-join of two renamed (disjoint-schema) ranges.
-
-    Delegates to the engine kernel
-    :func:`repro.core.engine.joins.equi_join_rows`; rows null on any
-    compared attribute contribute nothing, exactly as the TRUE-only
-    discipline demands.
-    """
-    from ..core.engine.joins import equi_join_rows
-
-    schema = left.schema.union(right.schema, name=f"({left.name} ⋈ {right.name})")
-    rows = equi_join_rows(left.rows(), right.rows(), left_attrs, right_attrs)
-    relation = Relation(schema, validate=False)
-    relation._rows = set(rows)
-    return XRelation(relation)
-
-
-def _apply_selection(relation: XRelation, variable: str, conjunct: Comparison) -> XRelation:
-    """Apply a pushable single-variable comparison to a renamed range."""
-    if isinstance(conjunct.left, AttributeRef):
-        attribute = f"{conjunct.left.variable}.{conjunct.left.attribute}"
-        constant = conjunct.right.literal  # type: ignore[union-attr]
-        return algebra.select_constant(relation, attribute, conjunct.op, constant)
-    attribute = f"{conjunct.right.variable}.{conjunct.right.attribute}"  # type: ignore[union-attr]
-    constant = conjunct.left.literal  # type: ignore[union-attr]
-    return algebra.select_constant(relation, attribute, _FLIPPED_OPS[conjunct.op], constant)
-
-
-def _bind_residual(predicate: Predicate, variables: Sequence[str]):
-    """Turn the residual predicate into a row predicate over the product schema."""
-
-    def row_predicate(row: XTuple):
-        binding = {variable: _RowView(row, variable) for variable in variables}
-        return predicate.evaluate(binding)
-
-    return row_predicate
-
-
-class _RowView:
-    """Presents a product row as if it were a row of a single range variable.
-
-    The planner renames every attribute to ``variable.attribute``; this
-    adapter lets the original predicate (written against bare attribute
-    names) read the prefixed columns.
-    """
-
-    __slots__ = ("_row", "_variable")
-
-    def __init__(self, row: XTuple, variable: str):
-        self._row = row
-        self._variable = variable
-
-    def __getitem__(self, attribute: str):
-        return self._row[f"{self._variable}.{attribute}"]
 
 
 def plan_query(query: Query, database=None, **options) -> Plan:

@@ -17,7 +17,7 @@ All tests run derandomized (seeded) so CI failures reproduce exactly.
 
 from __future__ import annotations
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from repro.core.errors import QuelSemanticError
 from repro.core.query import (
@@ -145,9 +145,9 @@ def test_null_constant_comparison_selects_nothing_like_the_oracle():
 def test_null_tuple_ranges_contribute_nothing_in_both_evaluations():
     """Regression: a range row binding no attribute (the null tuple) is
     information-free — Definition 4.6 drops it from every minimal form,
-    so neither the tuple-at-a-time oracle nor any plan may let it bind.
+    so neither the tuple-at-a-time oracle nor the plan may let it bind.
     Before ``Query.bindings()`` skipped it, the oracle was
-    representation-sensitive and diverged from every planner mode here."""
+    representation-sensitive and diverged from the planner here."""
     v0 = Relation(ATTRIBUTES, name="R1", validate=False)
     v0.add(XTuple({"A": 1}))
     v1 = Relation(ATTRIBUTES, name="R2", validate=False)
@@ -157,26 +157,12 @@ def test_null_tuple_ranges_contribute_nothing_in_both_evaluations():
     )
     oracle = evaluate_lower_bound(query)
     assert len(oracle) == 0
-    assert Plan(query, cost_based=True).execute() == oracle
-    assert Plan(query, cost_based=False).execute() == oracle
+    assert Plan(query).execute() == oracle
     # A real row alongside the null tuple contributes exactly itself.
     v1.add(XTuple({"B": 2}))
     oracle = evaluate_lower_bound(query)
     assert len(oracle) == 1
-    assert Plan(query, cost_based=True).execute() == oracle
-    assert Plan(query, cost_based=False).execute() == oracle
-
-
-@settings(max_examples=120, deadline=None, derandomize=True)
-@given(queries())
-def test_cost_ordered_and_syntactic_plans_agree_with_oracle(query):
-    """The cost-based optimizer (greedy join reorder + selection
-    push-through) and the pre-statistics syntactic planner both stay
-    information-wise equal to the oracle — reordering joins and applying
-    residual conjuncts early are strategy changes only."""
-    oracle = evaluate_lower_bound(query)
-    assert Plan(query, cost_based=True).execute() == oracle
-    assert Plan(query, cost_based=False).execute() == oracle
+    assert Plan(query).execute() == oracle
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
@@ -267,32 +253,34 @@ def indexed_databases(draw) -> Database:
 def test_index_backed_plans_agree_with_oracle(database, text):
     """With persistent indexes present the optimizer may emit
     index-nested-loop joins that probe stored (unreduced) rows; the
-    answer must stay information-wise identical to the oracle and to the
-    same plan with index probing disabled."""
+    answer must stay information-wise identical to the oracle.  (The
+    strategy also draws index-less databases, so the hash-join form of
+    the same plans is covered too.)"""
     try:
         tuple_answer = run_query(text, database, strategy="tuple").answer
     except QuelSemanticError:
         # e.g. a duplicate output column — rejected before any strategy runs
         assume(False)
-    indexed = run_query(text, database, strategy="algebra")
-    assert indexed.answer == tuple_answer
-    query = indexed.analyzed.query
-    assert Plan(query, database, use_indexes=False).execute() == tuple_answer
-    assert Plan(query, database, cost_based=False).execute() == tuple_answer
+    assert run_query(text, database, strategy="algebra").answer == tuple_answer
 
 
 # ---------------------------------------------------------------------------
-# Streaming executor ≡ materializing executor ≡ tuple oracle
+# The operator tree ≡ tuple oracle: block sizes, ANALYZE states, partitions
 # ---------------------------------------------------------------------------
+
+def compile_text(text, database):
+    from repro.quel.evaluator import compile_query
+
+    return compile_query(text, database).query
+
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(indexed_databases(), quel_texts(), st.booleans(), st.sampled_from((2, 7, 256)))
-def test_streaming_matches_materializing_and_oracle(database, text, analyzed, block_size):
-    """The streaming operator-tree executor and the materializing
-    executor interpret the *same* logical plan; both must stay
-    information-wise identical to the tuple oracle over random schemas,
-    persistent indexes, ANALYZE states and block sizes (tiny blocks force
-    every operator across block boundaries)."""
+def test_operator_tree_matches_oracle(database, text, analyzed, block_size):
+    """The compiled operator tree must stay information-wise identical
+    to the tuple oracle over random schemas, persistent indexes, ANALYZE
+    states and block sizes (tiny blocks force every operator across
+    block boundaries)."""
     if analyzed:
         database.analyze()
     try:
@@ -300,17 +288,49 @@ def test_streaming_matches_materializing_and_oracle(database, text, analyzed, bl
     except QuelSemanticError:
         assume(False)
     query = compile_text(text, database)
-    streaming = Plan(query, database, block_size=block_size)
-    materializing = Plan(query, database, streaming=False)
-    assert streaming.execute() == tuple_answer
-    assert materializing.execute() == tuple_answer
+    assert Plan(query, database, block_size=block_size).execute() == tuple_answer
+
+
+@settings(
+    max_examples=60, deadline=None, derandomize=True,
+    # The fixture patches one module attribute for the whole test; no
+    # example changes it, so sharing it across examples is sound.
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    indexed_databases(),
+    quel_texts(),
+    st.sampled_from((1, 2, 3, 4)),
+    st.sampled_from((2, 7, 256)),
+)
+def test_parallel_matches_serial_and_oracle(
+    no_multiprocessing, database, text, partitions, block_size
+):
+    """Partitioned Exchange/Merge execution is a pure strategy change:
+    over random schemas, indexes, partition counts 1–4 and block sizes,
+    the parallel pipeline must stay information-wise identical to the
+    serial tree and the tuple oracle.  Fragments run through the
+    exchange's in-process fallback — byte-identical worker code, minus
+    the process shipping the dedicated process tests cover — so the
+    fuzz loop stays fast."""
+    try:
+        tuple_answer = run_query(text, database, strategy="tuple").answer
+    except QuelSemanticError:
+        assume(False)
+    query = compile_text(text, database)
+    serial = Plan(query, database, block_size=block_size).execute()
+    parallel = Plan(
+        query, database, block_size=block_size, parallelism=partitions
+    ).execute()
+    assert serial == tuple_answer
+    assert parallel == tuple_answer
 
 
 @st.composite
 def total_databases(draw) -> Database:
-    """Indexed databases whose rows carry no nulls: there the streaming
-    and materializing executors must agree not only information-wise but
-    *count for count*, per operator."""
+    """Indexed databases whose rows carry no nulls: there no streamed
+    row is dominated, so the measured counts are exact — the projection
+    emits the answer, row for row."""
     database = Database("fuzz-total")
     values = st.integers(min_value=0, max_value=3)
     for name in ("R1", "R2"):
@@ -324,99 +344,47 @@ def total_databases(draw) -> Database:
     return database
 
 
-def compile_text(text, database):
-    from repro.quel.evaluator import compile_query
-
-    return compile_query(text, database).query
-
-
-# ---------------------------------------------------------------------------
-# Parallel partitioned execution ≡ serial streaming ≡ materializing ≡ oracle
-# ---------------------------------------------------------------------------
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(
-    indexed_databases(),
-    quel_texts(),
-    st.sampled_from((1, 2, 3, 4)),
-    st.sampled_from((2, 7, 256)),
-)
-def test_parallel_matches_serial_and_oracle(database, text, partitions, block_size):
-    """Partitioned Exchange/Merge execution is a pure strategy change:
-    over random schemas, indexes, partition counts 1–4 and block sizes,
-    the parallel pipeline must stay information-wise identical to the
-    serial streaming tree, the materializing executor and the tuple
-    oracle.  Fragments run in inline mode — byte-identical worker code,
-    minus the process shipping the dedicated process-mode tests cover —
-    so the fuzz loop stays fast."""
-    try:
-        tuple_answer = run_query(text, database, strategy="tuple").answer
-    except QuelSemanticError:
-        assume(False)
-    query = compile_text(text, database)
-    serial = Plan(query, database, block_size=block_size).execute()
-    materializing = Plan(query, database, streaming=False).execute()
-    parallel = Plan(
-        query, database, block_size=block_size,
-        parallelism=partitions, parallel_mode="inline",
-    ).execute()
-    assert serial == tuple_answer
-    assert materializing == tuple_answer
-    assert parallel == tuple_answer
-
-
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(total_databases(), quel_texts())
-def test_streaming_step_counts_match_materializing_on_total_rows(database, text):
-    """On null-free data no intermediate carries dominated rows, so the
-    per-step actual row counts of the streaming pipeline must equal the
-    materializing executor's — the rendered traces agree line for line,
-    which is exactly what makes ``explain(analyze=True)`` a trustworthy
-    audit of the cost annotations."""
+def test_step_counts_match_tree_actuals_and_oracle_on_total_rows(database, text):
+    """On null-free data the final project step's ``rows=`` is the
+    oracle answer's size, and every step's ``rows=`` is its node's
+    ``actual rows=`` in ``explain(analyze=True)`` — which is exactly
+    what makes the step trace a trustworthy audit of the cost
+    annotations."""
     try:
         query = compile_text(text, database)
     except QuelSemanticError:
         assume(False)
-    streaming = Plan(query, database)
-    materializing = Plan(query, database, streaming=False)
-    assert streaming.execute() == materializing.execute()
-    assert len(streaming.steps) == len(materializing.steps)
-    for streamed, materialized in zip(streaming.steps, materializing.steps):
-        if streamed.endswith("rows=?]"):
-            # The streaming executor proved this operator unnecessary (an
-            # empty join side short-circuits the whole probe subtree);
-            # the materializing path ran it eagerly.  Text and estimate
-            # must still agree — only the measurement is absent.
-            prefix = streamed[: streamed.rindex("rows=")]
-            assert materialized.startswith(prefix)
-        else:
-            assert streamed == materialized
+    plan = Plan(query, database)
+    answer = plan.execute()
+    oracle = evaluate_lower_bound(query)
+    assert answer == oracle
+    assert plan.steps[-1].endswith(f"[rows={len(oracle)}]")
+    tree = plan.pipeline.explain(analyze=True).splitlines()
+    assert len(plan.steps) == len(plan.pipeline.trace)
+    for step, line in zip(plan.pipeline.trace, plan.steps):
+        node = step.node
+        if node is None:
+            continue  # a rename step: no operator of its own
+        if not node.started:
+            # An empty join side short-circuited the subtree above this
+            # operator: text and estimate stand, the measurement is absent.
+            assert line.endswith("rows=?]")
+            continue
+        assert line.endswith(f"rows={node.actual_rows}]")
+        assert any(
+            entry.strip().startswith(node.label)
+            and f"actual rows={node.actual_rows} " in entry
+            for entry in tree
+        )
 
 
 # ---------------------------------------------------------------------------
-# Optimizer v2: DP join enumeration ≡ greedy ≡ oracle; adaptive feedback
-# and the semantic result cache never change answers
+# Optimizer v2: adaptive feedback and the semantic result cache never
+# change answers (DP enumeration is what every plan above already ran; the
+# greedy fallback is pinned in tests/test_planner_explain.py)
 # ---------------------------------------------------------------------------
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(indexed_databases(), quel_texts(), st.booleans())
-def test_dp_and_greedy_join_enumeration_agree_with_oracle(
-    database, text, analyzed
-):
-    """Selinger-style DP enumeration is a pure strategy change: whatever
-    order it picks over random schemas, indexes and ANALYZE states, the
-    answer stays information-wise identical to the greedy enumerator's
-    and to the tuple oracle."""
-    if analyzed:
-        database.analyze()
-    try:
-        tuple_answer = run_query(text, database, strategy="tuple").answer
-    except QuelSemanticError:
-        assume(False)
-    query = compile_text(text, database)
-    assert Plan(query, database, join_enumeration="dp").execute() == tuple_answer
-    assert Plan(query, database, join_enumeration="greedy").execute() == tuple_answer
-
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
@@ -438,7 +406,6 @@ def test_feedback_corrected_plans_agree_with_oracle(database, text, factors):
         assume(False)
     query = compile_text(text, database)
     assert Plan(query, database).execute() == tuple_answer
-    assert Plan(query, database, join_enumeration="greedy").execute() == tuple_answer
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

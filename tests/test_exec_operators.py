@@ -12,8 +12,8 @@ Three families:
   multi-join's result yields first rows without constructing a single
   intermediate :class:`~repro.core.xrelation.XRelation` (pinned by
   instrumenting the constructor), and ``explain(analyze=True)`` reports
-  per-operator actual row counts identical to the materializing
-  executor's step trace.
+  per-operator actual row counts identical to the step trace's, ending
+  in the oracle's answer size.
 """
 
 from __future__ import annotations
@@ -362,7 +362,7 @@ class TestSinks:
 
 class TestStreamingContract:
     """The acceptance pins: no intermediate XRelation while streaming, and
-    analyze actuals ≡ the materializing executor's step row counts."""
+    analyze actuals ≡ the step trace's row counts ≡ the oracle's answer."""
 
     @pytest.fixture
     def database(self) -> Database:
@@ -401,24 +401,32 @@ class TestStreamingContract:
         rows = result.rows
         assert rows and len(constructed) == 1
 
-    def test_analyze_actuals_match_materializing_step_counts(self, database):
+    def test_analyze_actuals_match_step_counts_and_oracle(self, database):
+        from repro.core.query import evaluate_lower_bound
         from repro.quel.evaluator import compile_query
 
         query = compile_query(self.QUERY, database).query
-        streaming = Plan(query, database)
-        materializing = Plan(query, database, streaming=False)
-        answer = streaming.execute()
-        assert answer == materializing.execute()
-        # Same logical plan, and — on null-free data — identical measured
-        # row counts, so the rendered step traces agree line for line.
-        assert streaming.steps == materializing.steps
-        # The analyze tree reports the same actuals per operator node.
-        tree = streaming.pipeline.explain(analyze=True)
+        plan = Plan(query, database)
+        answer = plan.execute()
+        oracle = evaluate_lower_bound(query)
+        assert answer == oracle
+        # On null-free data nothing streamed is dominated: the project
+        # step's measured rows are the answer's.
+        assert plan.steps[-1].endswith(f"[rows={len(oracle)}]")
+        # Every step's rows= is its own node's actual rows= in the tree.
+        tree = plan.pipeline.explain(analyze=True)
         assert re.search(r"est=\d+ actual rows=\d+ time=\d+\.\d+ms", tree)
-        for step in streaming.steps:
-            match = re.search(r"rows=(\d+)\]$", step)
-            if match and "join" in step:
-                assert f"actual rows={match.group(1)}" in tree
+        measured = 0
+        for step, line in zip(plan.pipeline.trace, plan.steps):
+            if step.node is None:
+                continue
+            measured += 1
+            assert line.endswith(f"rows={step.node.actual_rows}]")
+            assert re.search(
+                re.escape(step.node.label)
+                + rf" \[(est=\d+ )?actual rows={step.node.actual_rows} ", tree
+            )
+        assert measured >= 5  # two selects, two joins, the projection
 
     def test_lazy_result_survives_post_statement_mutation(self, database):
         """Mutating a scanned table between execution and iteration must
@@ -435,14 +443,6 @@ class TestStreamingContract:
         remaining = list(iterator)         # completes without RuntimeError
         assert {first, *remaining} >= expected
         assert set(result.to_relation().rows()) == expected
-
-    def test_streaming_default_and_opt_out(self, database):
-        from repro.quel.evaluator import compile_query
-
-        query = compile_query(self.QUERY, database).query
-        assert Plan(query, database).streaming is True
-        baseline = Plan(query, database, streaming=False)
-        assert baseline.execute() == Plan(query, database).execute()
 
 
 class TestExplainAnalyzeDrainsFirst:

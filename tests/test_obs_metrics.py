@@ -194,6 +194,39 @@ class TestEngineSeries:
         parsed = parse_prometheus(registry.render_prometheus())
         assert series("repro_stats_stale", database="obsdb", table="T") == 1
 
+    def test_join_choices_count_the_operators_actually_built(self, no_multiprocessing):
+        """The same indexed join is an index-nested-loop probe in the
+        serial tree and a hash join inside every shard fragment (workers
+        hold no live indexes) — the counter must say so."""
+        from repro.quel.evaluator import compile_query
+        from repro.quel.planner import Plan
+
+        registry = MetricsRegistry()
+        database = fresh_database(registry, rows=20)
+        database.create_table("U", ["A", "C"]).insert_many(
+            [(i, i % 3) for i in range(5)]
+        )
+        database.catalog.table("T").create_index(["A"])
+        text = "range of u is U range of t is T retrieve (u.C, t.B) where u.A = t.A"
+        query = compile_query(text, database).query
+
+        def choices():
+            parsed = parse_prometheus(registry.render_prometheus())
+            return {
+                strategy: parsed.get(
+                    ("repro_plan_join_choices_total", (("strategy", strategy),)), 0
+                )
+                for strategy in ("index_nl", "hash")
+            }
+
+        serial = Plan(query, database)
+        serial_answer = serial.execute()
+        assert any("index-nested-loop join" in step for step in serial.steps)
+        assert choices() == {"index_nl": 1, "hash": 0}
+        parallel = Plan(query, database, parallelism=2)
+        assert parallel.execute() == serial_answer
+        assert choices() == {"index_nl": 1, "hash": 1}
+
     def test_recent_traces_ring_buffer_and_phases(self):
         database = fresh_database(MetricsRegistry())
         from repro.api.session import Session

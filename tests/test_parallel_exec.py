@@ -28,6 +28,7 @@ from repro.core.relation import RelationSchema
 from repro.core.tuples import XTuple
 from repro.exec import (
     Exchange,
+    LogicalOp,
     Merge,
     Pipeline,
     PlanFragment,
@@ -131,13 +132,11 @@ class TestPartitioningKernels:
 class TestExchangeEdgeCases:
     @pytest.mark.parametrize("text", [JOIN_QUERY, SINGLE_RANGE_QUERY, PRODUCT_QUERY])
     @pytest.mark.parametrize("partitions", [2, 4])
-    def test_parallel_matches_serial(self, text, partitions):
+    def test_parallel_matches_serial(self, no_multiprocessing, text, partitions):
         db = make_database()
         _, serial = answers_for(db, text)
-        _, inline = answers_for(
-            db, text, parallelism=partitions, parallel_mode="inline"
-        )
-        assert set(inline.rows()) == set(serial.rows())
+        _, parallel = answers_for(db, text, parallelism=partitions)
+        assert set(parallel.rows()) == set(serial.rows())
 
     def test_process_mode_matches_serial(self):
         db = make_database()
@@ -145,7 +144,7 @@ class TestExchangeEdgeCases:
         _, parallel = answers_for(db, JOIN_QUERY, parallelism=2)
         assert set(parallel.rows()) == set(serial.rows())
 
-    def test_more_partitions_than_rows_leaves_empty_shards(self):
+    def test_more_partitions_than_rows_leaves_empty_shards(self, no_multiprocessing):
         db = Database("tiny")
         emp = db.create_table("EMP", ["NAME", "DEPT", "SAL"])
         dept = db.create_table("DEPT", ["DNAME", "FLOOR"])
@@ -154,9 +153,7 @@ class TestExchangeEdgeCases:
         dept.insert({"DNAME": "d0", "FLOOR": 0})
         dept.insert({"DNAME": "d1", "FLOOR": 1})
         _, serial = answers_for(db, JOIN_QUERY)
-        plan, parallel = answers_for(
-            db, JOIN_QUERY, parallelism=6, parallel_mode="inline"
-        )
+        plan, parallel = answers_for(db, JOIN_QUERY, parallelism=6)
         assert set(parallel.rows()) == set(serial.rows())
         exchange = plan.pipeline.root.child
         assert isinstance(exchange, Exchange)
@@ -165,23 +162,23 @@ class TestExchangeEdgeCases:
         assert 0 in exchange.partitioned_rows
         assert all(stats is not None for stats in exchange.partition_stats)
 
-    def test_single_row_shards_reconcile(self):
+    def test_single_row_shards_reconcile(self, no_multiprocessing):
         # Hand-built partitions, one row each — no hashing involved.
         rows = [XTuple({"A": i, "B": i % 2}) for i in range(5)]
         fragment = PlanFragment(
-            steps=(("rename", "v"), ("project", (("A", "v.A"), ("B", "v.B")))),
+            ops=(
+                LogicalOp("rename", variable="v", described="V"),
+                LogicalOp("project", targets=(("A", "v.A"), ("B", "v.B"))),
+            ),
             mappings={"v": {"A": "v.A", "B": "v.B"}},
             start="v",
-            variables=("v",),
         )
-        exchange = Exchange(
-            fragment, [{"v": [row]} for row in rows], mode="inline"
-        )
+        exchange = Exchange(fragment, [{"v": [row]} for row in rows])
         pipeline = Pipeline(Merge(exchange), RelationSchema(("A", "B"), name="Q"), [])
         answer = pipeline.run()
         assert set(answer.rows()) == set(rows)
 
-    def test_all_rows_hashing_to_one_worker(self):
+    def test_all_rows_hashing_to_one_worker(self, no_multiprocessing):
         db = Database("skewed")
         emp = db.create_table("EMP", ["NAME", "DEPT", "SAL"])
         dept = db.create_table("DEPT", ["DNAME", "FLOOR"])
@@ -189,9 +186,7 @@ class TestExchangeEdgeCases:
             emp.insert({"NAME": f"e{i}", "DEPT": "d0", "SAL": 4})
         dept.insert({"DNAME": "d0", "FLOOR": 1})
         _, serial = answers_for(db, JOIN_QUERY)
-        plan, parallel = answers_for(
-            db, JOIN_QUERY, parallelism=3, parallel_mode="inline"
-        )
+        plan, parallel = answers_for(db, JOIN_QUERY, parallelism=3)
         assert set(parallel.rows()) == set(serial.rows())
         exchange = plan.pipeline.root.child
         # A single join-key value: every partitioned row lands in one
@@ -212,9 +207,9 @@ class TestExchangeEdgeCases:
         ]
         assert one_blocks == serial_blocks
 
-    def test_explain_analyze_reports_partitions_and_skew(self):
+    def test_explain_analyze_reports_partitions_and_skew(self, no_multiprocessing):
         db = make_database()
-        plan, _ = answers_for(db, JOIN_QUERY, parallelism=3, parallel_mode="inline")
+        plan, _ = answers_for(db, JOIN_QUERY, parallelism=3)
         rendered = plan.pipeline.explain(analyze=True)
         assert "Exchange [3 partitions" in rendered
         assert "skew=" in rendered
@@ -226,7 +221,7 @@ class TestExchangeEdgeCases:
         assert "exchange over 3 partitions" in joined
         assert "hash equi-join" in joined and "rows=" in joined
 
-    def test_index_backed_plans_resolve_at_the_coordinator(self):
+    def test_index_backed_plans_resolve_at_the_coordinator(self, no_multiprocessing):
         db = make_database(rows=40)
         # EMP is the larger range, so the planner starts from DEPT and
         # joins EMP as the build side — the index on EMP.DEPT makes the
@@ -237,9 +232,7 @@ class TestExchangeEdgeCases:
         serial = serial_plan.execute()
         # The serial plan's join consults the persistent index...
         assert any("index" in step for step in serial_plan.steps)
-        parallel_plan = Plan(
-            analyzed.query, db, parallelism=2, parallel_mode="inline"
-        )
+        parallel_plan = Plan(analyzed.query, db, parallelism=2)
         parallel = parallel_plan.execute()
         # ...while workers (shared-nothing) get the same answer without it.
         assert set(parallel.rows()) == set(serial.rows())
@@ -262,28 +255,65 @@ class ExplodingPredicate:
         return "ExplodingPredicate()"
 
 
-def _exploding_pipeline(mode: str) -> Pipeline:
+def _filter_exchange(conjunct) -> Exchange:
+    """A hand-built two-shard exchange: scan → filter by *conjunct* → project."""
     rows = [XTuple({"A": i}) for i in range(8)]
     fragment = PlanFragment(
-        steps=(
-            ("rename", "v"),
-            ("select-var", "v", ExplodingPredicate()),
-            ("project", (("A", "v.A"),)),
+        ops=(
+            LogicalOp("rename", variable="v", described="V"),
+            LogicalOp("select-var-residual", variable="v", conjunct=conjunct),
+            LogicalOp("project", targets=(("A", "v.A"),)),
         ),
         mappings={"v": {"A": "v.A"}},
         start="v",
-        variables=("v",),
     )
-    exchange = Exchange(
-        fragment, [{"v": rows[:4]}, {"v": rows[4:]}], mode=mode
-    )
+    return Exchange(fragment, [{"v": rows[:4]}, {"v": rows[4:]}])
+
+
+def _pipeline_over(exchange: Exchange) -> Pipeline:
     return Pipeline(Merge(exchange), RelationSchema(("A",), name="Q"), [])
 
 
+def _exploding_pipeline() -> Pipeline:
+    return _pipeline_over(_filter_exchange(ExplodingPredicate()))
+
+
+class PidRecordingPredicate:
+    """A picklable always-TRUE predicate noting which process evaluated it."""
+
+    pids: set = set()
+
+    def references(self):
+        return ["v"]
+
+    def evaluate(self, binding):
+        import os
+
+        from repro.core.threevalued import TRUE
+
+        self.pids.add(os.getpid())
+        return TRUE
+
+    def __repr__(self):
+        return "PidRecordingPredicate()"
+
+
+def test_without_multiprocessing_fragments_run_in_this_process(no_multiprocessing):
+    """The fallback in ``Exchange._results``: when no worker context can
+    be had, every fragment still runs — here, in the coordinator."""
+    import os
+
+    PidRecordingPredicate.pids.clear()
+    exchange = _filter_exchange(PidRecordingPredicate())
+    answer = _pipeline_over(exchange).run()
+    assert {row["A"] for row in answer.rows()} == set(range(8))
+    assert PidRecordingPredicate.pids == {os.getpid()}
+    assert all(stats is not None for stats in exchange.partition_stats)
+
+
 class TestWorkerFailure:
-    @pytest.mark.parametrize("mode", ["inline", "process"])
-    def test_worker_exception_propagates_and_latches(self, mode):
-        pipeline = _exploding_pipeline(mode)
+    def check_propagates_and_latches(self):
+        pipeline = _exploding_pipeline()
         with pytest.raises(RuntimeError, match="boom in worker"):
             pipeline.run()
         # The failure is latched: later consumption re-raises instead of
@@ -293,8 +323,14 @@ class TestWorkerFailure:
         with pytest.raises(RuntimeError, match="boom in worker"):
             list(pipeline.iter_rows())
 
+    def test_worker_process_exception_propagates_and_latches(self):
+        self.check_propagates_and_latches()
+
+    def test_in_process_exception_propagates_and_latches(self, no_multiprocessing):
+        self.check_propagates_and_latches()
+
     def test_failed_query_leaves_no_orphaned_processes(self):
-        pipeline = _exploding_pipeline("process")
+        pipeline = _exploding_pipeline()
         with pytest.raises(RuntimeError, match="boom in worker"):
             pipeline.run()
         # The pool was terminated and joined in the exchange's finally

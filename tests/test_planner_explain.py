@@ -9,12 +9,13 @@ no residual selection is left behind.  These tests pin the trace shape
 
 from __future__ import annotations
 
+import pickle
 import re
 
 import pytest
 
-from repro.quel.evaluator import run_query
-from repro.quel.planner import Plan
+from repro.quel.evaluator import compile_query, run_query
+from repro.quel.planner import DP_JOIN_THRESHOLD, Plan
 from repro.storage.database import Database
 
 
@@ -194,18 +195,6 @@ class TestCostOptimizerTraces:
         assert "product" not in result.plan.explain()
         assert result.answer == run_query(self.CHAIN_QUERY, chain_db, strategy="tuple").answer
 
-    def test_syntactic_baseline_keeps_declaration_order(self, chain_db):
-        """cost_based=False reproduces the previous planner's trace."""
-        analyzed = run_query(self.CHAIN_QUERY, chain_db, strategy="algebra").analyzed
-        plan = Plan(analyzed.query, chain_db, cost_based=False)
-        answer = plan.execute()
-        joins = join_steps(plan)
-        assert len(joins) == 2
-        assert "with b2" in joins[0] and "b1.A = b2.A" in joins[0]
-        assert "with s" in joins[1]
-        assert "est=" not in plan.explain()
-        assert answer == run_query(self.CHAIN_QUERY, chain_db, strategy="tuple").answer
-
     def test_steps_carry_estimates_and_actuals(self, chain_db):
         plan = run_query(self.CHAIN_QUERY, chain_db, strategy="algebra").plan
         for step in plan.steps:
@@ -254,19 +243,6 @@ class TestCostOptimizerTraces:
         assert len(join_steps(result.plan)) == 1
         assert result.answer == run_query(text, db, strategy="tuple").answer
 
-    def test_use_indexes_flag_disables_probing(self, db):
-        db.table("DEMAND").create_index(["S#"], name="demand_s")
-        text = (
-            "range of s is SUPPLY range of d is DEMAND "
-            "retrieve (s.QTY) where s.S# = d.S#"
-        )
-        analyzed = run_query(text, db, strategy="algebra").analyzed
-        plan = Plan(analyzed.query, db, use_indexes=False)
-        answer = plan.execute()
-        assert not any("index-nested-loop" in s for s in plan.steps)
-        assert len(join_steps(plan)) == 1
-        assert answer == run_query(text, db, strategy="tuple").answer
-
     def test_residual_pushed_through_joins(self, db):
         """A two-variable residual conjunct applies as soon as both its
         ranges are combined — before later joins, not after them."""
@@ -282,3 +258,69 @@ class TestCostOptimizerTraces:
         assert len(residual_positions) == 1 and len(join_with_e) == 1
         assert residual_positions[0] < join_with_e[0]
         assert result.answer == run_query(text, db, strategy="tuple").answer
+
+
+class TestGreedyFallback:
+    def test_eleven_range_chain_takes_the_greedy_order(self):
+        """More ranges than DP_JOIN_THRESHOLD: the enumerator declines
+        and the greedy order plans the chain — same answer as the
+        oracle, one combine step per added range, no product."""
+        count = DP_JOIN_THRESHOLD + 1
+        database = Database("chain11")
+        for i in range(count):
+            # 2–3 rows per range; every third range has a row null on K.
+            rows = [(0, i), (1, i)] if i % 2 else [(0, i), (1, i), (2, i)]
+            if i % 3 == 0:
+                rows[-1] = (None, i)
+            database.create_table(f"T{i}", ["K", "V"]).insert_many(rows)
+        text = (
+            " ".join(f"range of t{i} is T{i}" for i in range(count))
+            + f" retrieve (t0.K, t{count - 1}.V) where "
+            + " and ".join(f"t{i}.K = t{i + 1}.K" for i in range(count - 1))
+        )
+        plan = Plan(compile_query(text, database).query, database)
+        answer = plan.execute()
+        assert answer == run_query(text, database, strategy="tuple").answer
+        assert len(answer) > 0
+        assert len(join_steps(plan)) == count - 1
+        assert "product" not in plan.explain()
+
+
+class TestLogicalPlanIsPlainData:
+    def test_plan_with_index_steps_pickles(self, db):
+        """The logical ops are the IR shipped to shard workers: an index
+        is named by its attributes, so a plan with an index-select and an
+        index-nested-loop step round-trips through pickle."""
+        db.table("SUPPLY").create_index(["S#"], name="supply_s")
+        db.table("DEMAND").create_index(["S#", "P#"], name="demand_key")
+        text = (
+            "range of s is SUPPLY range of d is DEMAND "
+            "retrieve (s.QTY, d.NEED) "
+            "where s.S# = 's1' and s.S# = d.S# and s.P# = d.P#"
+        )
+        plan = Plan(compile_query(text, db).query, db)
+        ops = plan.logical_plan()
+        by_kind = {op.kind: op for op in ops}
+        assert by_kind["index-select"].index == ("S#",)
+        assert set(by_kind["join"].index) == {"S#", "P#"}
+        restored = pickle.loads(pickle.dumps(ops))
+        assert [Plan._step_text(op) for op in restored] == [
+            Plan._step_text(op) for op in ops
+        ]
+        assert plan.execute() == run_query(text, db, strategy="tuple").answer
+        assert any("index select" in step for step in plan.steps)
+        assert any("index-nested-loop join" in step for step in plan.steps)
+
+    def test_compile_refuses_a_plan_whose_index_was_dropped(self, db):
+        """The ops name the index; the live object is looked up at
+        compile time, so a plan outliving its index fails loudly instead
+        of scanning the unfiltered table."""
+        from repro.core.errors import StaleResultError
+
+        db.table("SUPPLY").create_index(["S#"], name="supply_s")
+        text = "range of s is SUPPLY retrieve (s.QTY) where s.S# = 's1'"
+        plan = Plan(compile_query(text, db).query, db)
+        assert plan.logical_plan()[1].kind == "index-select"
+        db.table("SUPPLY").drop_index("supply_s")
+        with pytest.raises(StaleResultError, match="supply_s"):
+            plan.compile()

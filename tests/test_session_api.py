@@ -293,7 +293,7 @@ class TestStaleResults:
 
 
 class TestDefaults:
-    def test_run_query_defaults_to_cost_based_plan(self, db):
+    def test_run_query_defaults_to_the_planner(self, db):
         result = run_query('range of e is EMP retrieve (e.NAME)', db)
         assert result.strategy == "plan"
         assert result.plan is not None
