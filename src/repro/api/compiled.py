@@ -615,13 +615,13 @@ class _CompiledAppend(CompiledStatement):
 
 
 class _CompiledReplace(CompiledStatement):
-    """``replace v (…) [where …]`` → delete-then-insert, wholesale rollback.
+    """``replace v (…) [where …]`` → delete-then-insert, all-or-nothing.
 
     Section 7: "a modification can be viewed as a deletion followed by an
-    addition".  The matching rows are removed through the (4.8) bulk
-    difference, the replacements inserted through the atomic bulk union,
-    and foreign keys are re-checked against the *post* state — on any
-    failure the table is restored to its pre-statement rows.
+    addition".  The (4.8) closure of the matching rows goes out and the
+    checked replacements come in as one delta, and foreign keys are
+    re-checked against the *post* state — a violation there is undone by
+    the inverse delta, any earlier failure touched nothing.
     """
 
     def __init__(self, database, statement: ReplaceStatement):

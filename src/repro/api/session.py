@@ -46,6 +46,10 @@ from .compiled import CompiledStatement, compile_statement
 from .result_cache import CACHED_STEP, DEFAULT_RESULT_CACHE_SIZE, ResultCache
 from .results import ResultSet
 
+#: How many recent :class:`~repro.obs.QueryTrace` spans a session retains
+#: (see :meth:`Session.recent_traces`).
+TRACE_CAPACITY = 64
+
 
 def _statement_kind(statement: Statement) -> str:
     """The metric label for a parsed statement ("retrieve", "append", …)."""
@@ -292,20 +296,16 @@ class Session:
         The database to speak to (``repro.storage.Database``).
     cache_size:
         Capacity of the prepared-statement LRU (0 disables caching).
-    trace_capacity:
-        How many recent :class:`~repro.obs.QueryTrace` spans the session
-        retains (see :meth:`recent_traces`).
     result_cache_size:
         Capacity of the semantic result cache (materialized answers keyed
         by normalized statement + bound parameters + table versions; see
         :mod:`repro.api.result_cache`).  ``0`` disables result caching —
         every retrieve then re-executes.
-    adaptive_feedback:
-        When True (default), every drained plan folds its per-step
-        actual/estimated row ratios back into the scanned tables'
-        statistics as bounded correction factors the optimizer consults
-        on the next plan (see
-        :meth:`repro.stats.TableStatistics.observe_estimate`).
+
+    Every drained plan folds its per-step actual/estimated row ratios
+    back into the scanned tables' statistics as bounded correction
+    factors the optimizer consults on the next plan (see
+    :meth:`repro.stats.TableStatistics.observe_estimate`).
 
     Every :meth:`execute` call opens a query trace — phase wall times
     (parse → analyze → plan → execute), statement kind, plan shape and
@@ -324,9 +324,7 @@ class Session:
         self,
         database,
         cache_size: int = 128,
-        trace_capacity: int = 64,
         result_cache_size: int = DEFAULT_RESULT_CACHE_SIZE,
-        adaptive_feedback: bool = True,
     ):
         if not hasattr(database, "catalog"):
             raise TypeError(
@@ -339,9 +337,6 @@ class Session:
             ResultCache(database, result_cache_size)
             if result_cache_size > 0 else None
         )
-        #: Whether drained plans feed estimate errors back into table
-        #: statistics (the optimizer's adaptive correction loop).
-        self.adaptive_feedback = adaptive_feedback
         self._statements: "OrderedDict[Any, PreparedStatement]" = OrderedDict()
         self._transactions: List[Transaction] = []
         self._closed = False
@@ -356,7 +351,7 @@ class Session:
         #: Statements slower than this many wall seconds go to the
         #: slow-query log (None disables it).
         self.slow_query_threshold: Optional[float] = None
-        self._traces: "deque[QueryTrace]" = deque(maxlen=max(1, trace_capacity))
+        self._traces: "deque[QueryTrace]" = deque(maxlen=TRACE_CAPACITY)
         registry = registry_for(database)
         #: The metrics registry this session reports into (resolved once:
         #: the database's own registry, or the process-global default).
@@ -679,11 +674,6 @@ class Session:
             relation = getattr(result, "_relation", None)
             if relation is not None:
                 trace.rows_out = len(relation)
-                if cache_key is not None and self.result_cache is not None:
-                    # Fast-path retrieve: already materialized, cache now.
-                    self.result_cache.store(
-                        cache_key, relation, result.steps
-                    )
             trace.finished = True
         self._traces.append(trace)
         self._check_slow(trace)
@@ -777,7 +767,7 @@ class Session:
                     self._est_error_metric.observe(
                         (node.actual_rows + 1.0) / (step.est + 1.0)
                     )
-                    if self.adaptive_feedback and step.table is not None:
+                    if step.table is not None:
                         step.table.statistics.observe_estimate(
                             node.actual_rows, step.est
                         )
@@ -797,7 +787,7 @@ class Session:
 
     def recent_traces(self, limit: Optional[int] = None) -> List[QueryTrace]:
         """The most recent query traces, oldest first (bounded by the
-        session's ``trace_capacity``).  Traces of undrained lazy
+        last :data:`TRACE_CAPACITY` statements).  Traces of undrained lazy
         retrieves have ``finished=False`` until their pipeline completes;
         the objects update in place when it does."""
         traces = list(self._traces)

@@ -101,28 +101,14 @@ class FunctionalDependency:
                 f"({len(violations)} violating pair(s) in total)"
             )
 
-    def check_insert(self, relation: Relation, row: XTuple) -> None:
-        """Guard one insert: the new row must not create a strong violation."""
-        if not row.is_total_on(self.determinant):
-            return
-        key = tuple(row[a] for a in self.determinant)
-        for existing in relation.tuples():
-            if existing == row or not existing.is_total_on(self.determinant):
-                continue
-            if tuple(existing[a] for a in self.determinant) != key:
-                continue
-            if not self._dependents_compatible_strong(existing, row):
-                raise ConstraintViolation(
-                    f"FD {self.name}: inserting {row!r} conflicts with {existing!r}"
-                )
-
     def check_bulk_insert(self, relation: Relation, rows: Sequence[XTuple]) -> None:
-        """Batch form of :meth:`check_insert`: one determinant grouping pass.
+        """Guard a batch of inserts — no new row may create a strong
+        violation — with one determinant grouping pass.
 
         Equivalent to guarding the batch row by row against the relation as
         it grows, but the stored rows are grouped by determinant value once
         — O(|relation| + Σ group sizes) instead of a full scan per row.
-        Batch rows also guard each other, exactly as in the sequential form.
+        Batch rows also guard each other.
         """
         staged = [row for row in rows if row.is_total_on(self.determinant)]
         if not staged:

@@ -13,8 +13,9 @@ that extension for keys:
   the *entity integrity* reading standard since Codd (1979).
 
 Constraints expose ``check`` (validate a whole relation) and
-``check_insert`` (validate a candidate row against an existing relation),
-which is what the storage layer calls on updates.
+``check_bulk_insert`` (validate a batch of candidate rows against an
+existing relation — a single row is a batch of one), which is what the
+storage layer calls on updates.
 """
 
 from __future__ import annotations
@@ -41,11 +42,8 @@ class NotNullConstraint:
                     f"{self.name}: attribute {attribute!r} is null in {row!r}"
                 )
 
-    def check_insert(self, relation: Relation, row: XTuple) -> None:
-        self.check_row(row)
-
     def check_bulk_insert(self, relation: Relation, rows: Sequence[XTuple]) -> None:
-        """Batch form of :meth:`check_insert` (per-row; nothing to amortise)."""
+        """Guard a batch of inserts (per-row; nothing to amortise)."""
         for row in rows:
             self.check_row(row)
 
@@ -79,29 +77,14 @@ class KeyConstraint:
             values.append(value)
         return tuple(values)
 
-    def check_insert(self, relation: Relation, row: XTuple) -> None:
-        key = self._key_of(row)
-        for existing in relation.tuples():
-            if existing == row:
-                continue
-            try:
-                existing_key = self._key_of(existing)
-            except KeyViolation:
-                continue  # the full check will flag it; inserts only guard the new row
-            if existing_key == key:
-                raise KeyViolation(
-                    f"{self.name}: duplicate key {key!r} (existing row {existing!r})"
-                )
-
     def check_bulk_insert(self, relation: Relation, rows: Sequence[XTuple]) -> None:
-        """Batch form of :meth:`check_insert`: one pass over the relation.
+        """Guard a batch of inserts with one pass over the relation.
 
         Semantically equivalent to checking the batch row by row against the
-        relation as it grows (the seed ``insert_many`` loop), but the
-        existing keys are indexed once — O(|relation| + |batch|) instead of
-        the quadratic scan-per-row.  Re-inserting a row identical to a
-        stored row (or repeated within the batch) is permitted, exactly as
-        in the sequential form: relations are sets, so it is a no-op.
+        relation as it grows, but the existing keys are indexed once —
+        O(|relation| + |batch|) instead of a scan per row.  Re-inserting a
+        row identical to a stored row (or repeated within the batch) is
+        permitted: relations are sets, so it is a no-op.
         """
         existing: Dict[Tuple, XTuple] = {}
         for stored in relation.tuples():

@@ -72,18 +72,15 @@ class ForeignKeyConstraint:
         for row in referencing.tuples():
             self.check_row(row, referenced)
 
-    def check_insert(self, referencing: Relation, row: XTuple, referenced: Relation) -> None:
-        self.check_row(row, referenced)
-
     def check_bulk_insert(
         self, referencing: Relation, rows: Sequence[XTuple], referenced: Relation
     ) -> None:
-        """Batch form of :meth:`check_insert`: index the referenced keys once.
+        """Guard a batch of inserts, indexing the referenced keys once.
 
-        Equivalent to checking the batch row by row in order while it is
-        being inserted: for a *self*-referencing key (``referencing is
-        referenced``) each staged row's referenced-key values become
-        visible to the rows after it, exactly as in the sequential loop.
+        Equivalent to :meth:`check_row` on each row in order while the
+        batch is being inserted: for a *self*-referencing key
+        (``referencing is referenced``) each staged row's referenced-key
+        values become visible to the rows after it.
         """
         keys = set()
         for target in referenced.tuples():
@@ -108,19 +105,6 @@ class ForeignKeyConstraint:
                 if not any(is_ni(v) for v in provided):
                     keys.add(provided)
 
-    def check_delete(self, referencing: Relation, removed: XTuple, referenced: Relation) -> None:
-        """Guard a delete from the *referenced* relation (restrict semantics)."""
-        key = tuple(removed[a] for a in self.referenced_attributes)
-        if any(is_ni(v) for v in key):
-            return
-        for row in referencing.tuples():
-            if self._classify(row) != "total":
-                continue
-            if tuple(row[a] for a in self.attributes) == key:
-                raise ReferentialViolation(
-                    f"{self.name}: cannot delete {removed!r}; still referenced by {row!r}"
-                )
-
     def check_bulk_delete(
         self,
         referencing: Relation,
@@ -128,7 +112,8 @@ class ForeignKeyConstraint:
         referenced: Relation,
         exclude: AbstractSet[XTuple] = frozenset(),
     ) -> None:
-        """Batch form of :meth:`check_delete`: index the referencing keys once.
+        """Guard a batch of deletes from the *referenced* relation
+        (restrict semantics), indexing the referencing keys once.
 
         One pass over the referencing relation builds the key index, then
         each removed row is a single dict probe — O(|referencing| +

@@ -50,11 +50,8 @@ class RowConstraint:
         for row in relation.tuples():
             self.check_row(row)
 
-    def check_insert(self, relation: Relation, row: XTuple) -> None:
-        self.check_row(row)
-
     def check_bulk_insert(self, relation: Relation, rows: Sequence[XTuple]) -> None:
-        """Batch form of :meth:`check_insert` (per-row; nothing to amortise)."""
+        """Guard a batch of inserts (per-row; nothing to amortise)."""
         for row in rows:
             self.check_row(row)
 

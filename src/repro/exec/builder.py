@@ -212,8 +212,17 @@ def build_tree(
                 est=op.est, block_size=block_size,
             )
         elif op.kind == "project":
+            if combined is None:
+                # A single-range plan: nothing was joined, so the targets
+                # read the bare attributes straight off the range's chain
+                # — no Rename node, one tuple built per row instead of two.
+                bare = {qualified: a for a, qualified in mappings[start].items()}
+                source = scan(start)
+                targets = [(output, bare[q]) for output, q in op.targets]
+            else:
+                source, targets = combined, op.targets
             combined = node = Project(
-                combined_node(), op.targets,
+                source, targets,
                 label=f"Project {[o for o, _ in op.targets]}",
                 block_size=block_size,
             )

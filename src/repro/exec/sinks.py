@@ -4,9 +4,11 @@ A sink is the root of a DML statement's physical plan: it drains its
 source pipeline (the matching-rows query compiled by the planner) and
 applies the batch through the storage layer's *atomic* bulk entry points
 — :meth:`Database.insert_many` for APPEND, :meth:`Database.delete_many`
-for DELETE (with the (4.8) subsumption closure and FK restrict), and the
-deletion-followed-by-addition discipline with post-state FK re-check and
-wholesale rollback for REPLACE.  Sinks are blocking by nature: atomicity
+for DELETE (with the (4.8) subsumption closure and FK restrict), and
+:meth:`Database.update_many` for REPLACE (deletion followed by addition
+as one delta, post-state FK re-check, inverse delta on violation).  Each
+is checks in front of the one write primitive, :meth:`Table.apply_delta`.
+Sinks are blocking by nature: atomicity
 demands the complete batch before anything is applied, so they are the
 one place a DML pipeline legitimately materialises.
 
@@ -124,14 +126,14 @@ class DeleteSink(Sink):
 
 
 class ReplaceSink(Sink):
-    """REPLACE: deletion followed by addition, with wholesale rollback.
+    """REPLACE: deletion followed by addition, all-or-nothing.
 
     *row_builder* maps each matched row to its replacement.  The batch
-    delegates to :meth:`Database.update_many` — bulk (4.8) delete of the
-    matched rows, atomic checked bulk insert of the replacements, both
+    delegates to :meth:`Database.update_many` — the (4.8) closure of the
+    matched rows out and the checked replacements in as one delta, both
     foreign-key directions re-checked against the *post* state (the new
-    rows may legitimately re-satisfy keys the deletion removed), and any
-    failure restores the table's pre-statement rows — so the modification
+    rows may legitimately re-satisfy keys the deletion removed), and a
+    violation undone by applying the inverse delta — so the modification
     discipline of Section 7 lives in exactly one place.
     """
 

@@ -275,6 +275,7 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._families: "Dict[str, MetricFamily]" = {}
         self._callbacks: List[Callable[[], Any]] = []
+        self._handles: Dict[str, Any] = {}
 
     # -- family constructors (get-or-create, idempotent) ---------------------
     def _family(
@@ -316,6 +317,16 @@ class MetricsRegistry:
         buckets: Sequence[float] = LATENCY_BUCKETS,
     ) -> MetricFamily:
         return self._family("histogram", name, help, labelnames, buckets)
+
+    def handles(self, key: str, build: "Callable[[MetricsRegistry], Any]") -> Any:
+        """``build(self)``, computed once per registry and *key*: where a
+        component whose own objects live for one statement (a query plan)
+        keeps its resolved label children, so the hot path pays one dict
+        lookup instead of re-resolving families and labels every time."""
+        resolved = self._handles.get(key)
+        if resolved is None:
+            resolved = self._handles[key] = build(self)
+        return resolved
 
     # -- scrape-time callbacks ------------------------------------------------
     def add_callback(self, callback: Callable[[], Any]) -> None:

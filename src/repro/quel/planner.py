@@ -121,6 +121,28 @@ class _RangeContext:
         return getattr(self.stats(), "correction", 1.0)
 
 
+def _plan_metric_handles(registry) -> Dict[str, Any]:
+    """The planner's counters in *registry*, one child per label value."""
+    plans = registry.counter(
+        "repro_plans_total",
+        "Streaming pipelines compiled by the cost-based planner.",
+        ("mode",),
+    )
+    choices = registry.counter(
+        "repro_plan_join_choices_total",
+        "Physical strategy chosen per combine step (index-NL vs "
+        "hash join vs cartesian product).",
+        ("strategy",),
+    )
+    return {
+        "serial": plans.labels(mode="serial"),
+        "parallel": plans.labels(mode="parallel"),
+        "index_nl": choices.labels(strategy="index_nl"),
+        "hash": choices.labels(strategy="hash"),
+        "product": choices.labels(strategy="product"),
+    }
+
+
 class Plan:
     """An executable query plan with a readable, cost-annotated trace.
 
@@ -165,7 +187,6 @@ class Plan:
         self._ops: Optional[List[LogicalOp]] = None
         self._start: Optional[str] = None
         self._plan_contexts: Optional[Dict[str, _RangeContext]] = None
-        self._metric_handles = None
 
     def explain(self) -> str:
         return "\n".join(f"{i + 1}. {step}" for i, step in enumerate(self.steps))
@@ -676,32 +697,12 @@ class Plan:
         for each combine step; a parallel compile builds none here (its
         fragments get no indexes, so their joins are hash joins).
 
-        A cached prepared statement recompiles its pipeline on every
-        execution, so the label children are resolved once per Plan and
-        cached — the per-compile cost is a handful of counter adds,
-        keeping the prepared fast path inside E21's 5% overhead gate.
+        A ``Plan`` lives for one execution, so the label children are
+        resolved once per *registry* (:func:`_plan_metric_handles`) — the
+        per-compile cost is a handful of counter adds, keeping prepared
+        statements inside E21's 5% overhead gate.
         """
-        handles = self._metric_handles
-        if handles is None:
-            registry = registry_for(self.database)
-            plans = registry.counter(
-                "repro_plans_total",
-                "Streaming pipelines compiled by the cost-based planner.",
-                ("mode",),
-            )
-            choices = registry.counter(
-                "repro_plan_join_choices_total",
-                "Physical strategy chosen per combine step (index-NL vs "
-                "hash join vs cartesian product).",
-                ("strategy",),
-            )
-            handles = self._metric_handles = {
-                "serial": plans.labels(mode="serial"),
-                "parallel": plans.labels(mode="parallel"),
-                "index_nl": choices.labels(strategy="index_nl"),
-                "hash": choices.labels(strategy="hash"),
-                "product": choices.labels(strategy="product"),
-            }
+        handles = registry_for(self.database).handles("planner", _plan_metric_handles)
         handles["parallel" if partitions > 1 else "serial"].inc()
         for op, node in zip(self.logical_plan(), nodes):
             if op.kind == "join":

@@ -47,12 +47,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..api.session import (
-    DEFAULT_RESULT_CACHE_SIZE,
-    PreparedStatement,
-    Session,
-    Transaction,
-)
+from ..api.session import PreparedStatement, Session, Transaction
 from ..core.errors import (
     ConstraintViolation,
     QuelError,
@@ -70,6 +65,12 @@ from .gate import StatementGate
 from .http import HttpRequest, ProtocolError, read_request, write_response
 
 __all__ = ["ReproServer", "ServerHandle", "serve"]
+
+#: Thread-pool width for engine work (readers overlap up to this).
+EXECUTOR_THREADS = 8
+
+#: Page size for cursor fetches that don't pass ``max_rows``.
+DEFAULT_PAGE_ROWS = 256
 
 
 def status_for(error: BaseException) -> Tuple[int, bool]:
@@ -231,15 +232,6 @@ class ReproServer:
         Admission cap: requests beyond this many concurrently in-flight
         are rejected with 503 + ``Retry-After`` instead of queueing
         without bound.  ``None`` disables the cap.
-    executor_threads:
-        Thread-pool width for engine work (readers overlap up to this).
-    default_page_rows:
-        Page size for cursor fetches that don't pass ``max_rows``.
-    result_cache_size:
-        Per-connection semantic result cache capacity (materialized
-        answers keyed by statement + params + table versions; see
-        :mod:`repro.api.result_cache`).  ``0`` disables result caching
-        for every connection the server accepts.
     """
 
     def __init__(
@@ -249,20 +241,15 @@ class ReproServer:
         port: int = 0,
         *,
         max_in_flight: Optional[int] = 64,
-        executor_threads: int = 8,
-        default_page_rows: int = 256,
-        result_cache_size: int = DEFAULT_RESULT_CACHE_SIZE,
     ):
         self.database = database
         self.host = host
         self.port = port
         self.max_in_flight = max_in_flight
-        self.default_page_rows = default_page_rows
-        self.result_cache_size = result_cache_size
         self.gate = StatementGate()
         self.registry = registry_for(database)
         self._executor = ThreadPoolExecutor(
-            max_workers=executor_threads, thread_name_prefix="repro-server"
+            max_workers=EXECUTOR_THREADS, thread_name_prefix="repro-server"
         )
         self._server: Optional[asyncio.AbstractServer] = None
         self._connection_ids = itertools.count(1)
@@ -376,7 +363,7 @@ class ReproServer:
     async def _handle_connection(self, reader, writer) -> None:
         connection = _Connection(
             f"c{next(self._connection_ids)}",
-            Session(self.database, result_cache_size=self.result_cache_size),
+            Session(self.database),
         )
         entry = (connection, writer)
         self._connections.add(entry)
@@ -600,7 +587,7 @@ class ReproServer:
             raise ProtocolError('the request needs a "statement" string')
         params = decode_params(body.get("params"))
         prepared = connection.session.prepare(text)
-        page_rows = int(body.get("max_rows") or self.default_page_rows)
+        page_rows = int(body.get("max_rows") or DEFAULT_PAGE_ROWS)
         return await self._execute(
             connection,
             prepared,
@@ -643,7 +630,7 @@ class ReproServer:
             )
         body = request.json()
         params = decode_params(body.get("params"))
-        page_rows = int(body.get("max_rows") or self.default_page_rows)
+        page_rows = int(body.get("max_rows") or DEFAULT_PAGE_ROWS)
         return await self._execute(
             connection,
             prepared,
@@ -663,7 +650,7 @@ class ReproServer:
                 (),
             )
         try:
-            max_rows = int(request.query.get("max_rows", self.default_page_rows))
+            max_rows = int(request.query.get("max_rows", DEFAULT_PAGE_ROWS))
         except ValueError:
             raise ProtocolError("max_rows must be an integer")
         async with self.gate.shared(connection):

@@ -13,12 +13,11 @@
   a cost model reason about how much of a table is invisible to an
   equality probe on a given attribute set.
 
-Maintenance is *exact and incremental*: the storage layer feeds every
-mutation path (insert / bulk insert / delete / bulk delete / update /
-truncate / load / restore) through :meth:`add_row` / :meth:`add_rows` /
-:meth:`remove_row` / :meth:`remove_rows`, always with the rows that were
-*actually* added to or removed from the stored set, so the counters never
-drift (pinned by the property tests against :meth:`analyze`).
+Maintenance is *exact and incremental*: the storage layer's one write
+primitive (:meth:`Table.apply_delta`) feeds :meth:`remove_rows` /
+:meth:`add_rows` with the rows that were *actually* removed from or
+added to the stored set, so the counters never drift (pinned by the
+property tests against :meth:`analyze`).
 
 :meth:`analyze` is the full-refresh fallback: recount everything from the
 live rows.  Because the incremental path is exact, a refresh never
@@ -94,11 +93,6 @@ class TableStatistics:
             self.analyze(rows)
 
     # -- incremental maintenance -------------------------------------------
-    def add_row(self, row: XTuple) -> None:
-        """Count one row that was actually added to the stored set."""
-        self._count(row)
-        self.mutations_since_analyze += 1
-
     def add_rows(self, rows: Iterable[XTuple]) -> None:
         """Count a batch of actually-added rows (one staleness tick)."""
         touched = False
@@ -107,11 +101,6 @@ class TableStatistics:
             touched = True
         if touched:
             self.mutations_since_analyze += 1
-
-    def remove_row(self, row: XTuple) -> None:
-        """Discount one row that was actually removed from the stored set."""
-        self._discount(row)
-        self.mutations_since_analyze += 1
 
     def remove_rows(self, rows: Iterable[XTuple]) -> None:
         """Discount a batch of actually-removed rows (one staleness tick)."""

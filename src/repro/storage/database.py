@@ -251,28 +251,26 @@ class Database(Mapping[str, Relation]):
 
     # -- updates with referential enforcement ------------------------------------------------
     def insert(self, table_name: str, row: RowLike) -> XTuple:
-        table = self.catalog.table(table_name)
-        candidate = table.relation._coerce_row(row)
-        for fk in self.catalog.foreign_keys_of(table_name):
-            referenced = self.catalog.table(fk.referenced_relation).relation
-            fk.check_insert(table.relation, candidate, referenced)
-        return table.insert(candidate)
+        """Insert one row — a singleton :meth:`insert_many`."""
+        return self.insert_many(table_name, [row])[0]
 
     def insert_many(self, table_name: str, rows: Sequence[RowLike]) -> List[XTuple]:
         """Insert a batch atomically, foreign keys included.
 
         Referential checks run up front against a one-time index of the
         referenced keys (self-referencing keys see earlier batch rows,
-        exactly as the sequential loop would); the rows are then applied
-        through :meth:`Table.insert_many`, so a failure anywhere in the
-        batch leaves every table untouched.
+        exactly as the sequential loop would), then the table's own
+        constraints; only a fully-checked batch is applied, so a failure
+        anywhere leaves every table untouched.
         """
         table = self.catalog.table(table_name)
         candidates = table.relation._coerce_rows(rows)
         for fk in self.catalog.foreign_keys_of(table_name):
             referenced = self.catalog.table(fk.referenced_relation).relation
             fk.check_bulk_insert(table.relation, candidates, referenced)
-        return table.insert_many(candidates, _coerced=True)
+        table._check_inserts(table.relation.tuples(), candidates)
+        table.apply_delta((), candidates)
+        return candidates
 
     def delete_many(self, table_name: str, rows: Sequence[RowLike]) -> int:
         """Delete a batch (with (4.8) subsumption semantics) atomically.
@@ -292,7 +290,8 @@ class Database(Mapping[str, Relation]):
             referencing = self.catalog.table(owner).relation
             exclude = doomed if owner == table_name else frozenset()
             fk.check_bulk_delete(referencing, targets, table.relation, exclude=exclude)
-        return table.delete_many(targets, _coerced=True, _doomed=doomed)
+        table.apply_delta(doomed, ())
+        return len(doomed)
 
     def delete(self, table_name: str, row: RowLike) -> int:
         """Delete one row — a singleton :meth:`delete_many`, so the FK
@@ -307,29 +306,29 @@ class Database(Mapping[str, Relation]):
     def update_many(self, table_name: str, pairs: Sequence[tuple]) -> List[XTuple]:
         """Apply a batch of ``(old, new)`` modifications atomically.
 
-        A modification is deletion followed by addition (Section 7), so
-        foreign keys are enforced the way :class:`repro.exec.ReplaceSink`
-        enforces them for the REPLACE statement: the batch rides
-        :meth:`Table.update_many` (bulk (4.8) delete of the old rows plus
-        the atomic checked bulk insert), then every foreign key touching
-        the table — owned *and* referencing — is re-checked against the
-        **post** state, since the new rows may legitimately re-satisfy
-        keys the deletion removed.  Any violation restores the table's
-        pre-statement rows wholesale — notably, replacing a referenced
-        key out from under its referrers raises instead of silently
-        orphaning them (the restrict :meth:`delete_many` applies).
+        A modification is deletion followed by addition (Section 7): the
+        batch is validated as :meth:`Table.update_many` validates it and
+        applied as one :meth:`Table.apply_delta` — the (4.8) closure of
+        the old rows out, the new rows in.  Then every foreign key
+        touching the table — owned *and* referencing — is re-checked
+        against the **post** state, since the new rows may legitimately
+        re-satisfy keys the deletion removed.  Any violation is undone by
+        applying the inverse delta (O(batch): no copy of the table is
+        taken or reloaded, statistics and histograms stay as they were)
+        — notably, replacing a referenced key out from under its
+        referrers raises instead of silently orphaning them (the restrict
+        :meth:`delete_many` applies).
         """
         table = self.catalog.table(table_name)
         olds = table.relation._coerce_rows([old for old, _ in pairs])
         news = table.relation._coerce_rows([new for _, new in pairs])
-        saved = set(table.rows())
-        inserted = table.update_many(list(zip(olds, news)), _coerced=True)
+        removed, added = table.apply_delta(table._stage_update(olds, news), news)
         try:
-            self._check_update_foreign_keys(table, olds, inserted)
+            self._check_update_foreign_keys(table, olds, news)
         except Exception:
-            table.reset_rows(saved)
+            table.apply_delta(added, removed)
             raise
-        return inserted
+        return news
 
     def _check_update_foreign_keys(self, table, olds, inserted) -> None:
         """Post-state FK verification for a modification, targeted.

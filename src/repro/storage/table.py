@@ -4,19 +4,24 @@ Section 7 of the paper defines database updates through the extended
 algebra: "the result of adding a set of tuples to a relation is defined as
 the union of the set with the relation; likewise deletion is defined by
 set difference; a modification can be viewed as a deletion followed by an
-addition."  :class:`Table` implements exactly this discipline:
+addition."  :class:`Table` implements exactly this discipline with
+**one write primitive**, :meth:`Table.apply_delta` — rows out, rows in,
+one log record, one bulk update per structure, and its own inverse with
+the arguments swapped.  Every entry point is that call with its checks in
+front:
 
-* :meth:`insert` / :meth:`insert_many` — generalised union with the new
-  rows, after constraint checks; the batch form is *atomic* (checks run
-  up front, nothing is applied on failure) and amortises dominance- and
-  hash-index maintenance through the engine's bulk entry points;
-* :meth:`delete` / :meth:`delete_many` / :meth:`delete_where` —
+* :meth:`insert_many` (and :meth:`insert`, its singleton) — generalised
+  union with the new rows, after constraint checks; *atomic*: checks run
+  up front, nothing is applied on failure;
+* :meth:`delete_many` (and :meth:`delete`) / :meth:`delete_where` —
   generalised difference; note that, per (4.8), deleting a row also
   removes every *less informative* row it subsumes, which is the
   behaviour the information ordering dictates;
-* :meth:`update` — deletion followed by insertion;
+* :meth:`update_many` (and :meth:`update`) — deletion followed by
+  insertion, as one delta;
 * :meth:`load` — atomic checked replacement of the whole table, the bulk
-  loader behind the workload builders;
+  loader behind the workload builders (with :meth:`truncate` and
+  :meth:`reset_rows`, the wholesale forms that rebuild rather than edit);
 * the Section 1 user expectation — after an insert, the new table
   x-contains the old one — holds by construction and is asserted in the
   tests.
@@ -28,7 +33,7 @@ hash indexes, which are maintained incrementally.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from ..core.engine.dominance import DominanceIndex
 from ..core.errors import StorageError
@@ -43,6 +48,30 @@ from .index import HashIndex
 
 
 TableConstraint = Union[KeyConstraint, NotNullConstraint, FunctionalDependency, RowConstraint]
+
+
+def _batch_insert_check(constraint) -> Optional[Callable[[Relation, Sequence[XTuple]], None]]:
+    """The constraint's ``check_bulk_insert(relation, rows)``, or ``None``
+    when it guards nothing on insert.  A third-party constraint that only
+    offers the per-row ``check_insert(relation, row)`` is adapted here —
+    the one place that form is still understood: each row is checked
+    against a private copy of the relation that grows as the batch goes
+    in, the view such a constraint expects."""
+    check = getattr(constraint, "check_bulk_insert", None)
+    if check is not None:
+        return check
+    check_insert = getattr(constraint, "check_insert", None)
+    if check_insert is None:
+        return None
+
+    def sequential(relation: Relation, rows: Sequence[XTuple]) -> None:
+        grown = Relation(relation.schema, validate=False)
+        grown._rows = set(relation.tuples())
+        for row in rows:
+            check_insert(grown, row)
+            grown._rows.add(row)
+
+    return sequential
 
 
 class Table:
@@ -135,36 +164,18 @@ class Table:
                 check(self.relation)
         self.constraints.append(constraint)
 
-    def _check_insert(self, row: XTuple, relation: Optional[Relation] = None) -> None:
-        """Run every constraint's per-row insert guard against *relation*
-        (default: this table's stored relation)."""
-        against = self.relation if relation is None else relation
+    def _check_inserts(self, stored: set, candidates: Sequence[XTuple]) -> None:
+        """Run every constraint's batch insert check for *candidates*
+        against the row set *stored*, which is only read — so a failure
+        leaves the table untouched (and, with a WAL attached, unlogged)."""
+        if not self.constraints:
+            return
+        scratch = Relation(self.schema, validate=False)
+        scratch._rows = stored
         for constraint in self.constraints:
-            check_insert = getattr(constraint, "check_insert", None)
-            if check_insert is not None:
-                check_insert(against, row)
-
-    def _check_bulk_insert(self, relation: Relation, candidates: Sequence[XTuple]) -> bool:
-        """Run every constraint against a staged batch, before any mutation.
-
-        Returns True when every constraint offered a ``check_bulk_insert``
-        batch form (the amortised path, one pass over *relation* per
-        constraint).  Returns False when some constraint only knows
-        ``check_insert`` — the caller must then fall back to the
-        sequential row-at-a-time simulation, which is the only way to give
-        such a constraint the grows-as-you-insert view it expects.
-        """
-        batch_checks = []
-        for constraint in self.constraints:
-            check_bulk = getattr(constraint, "check_bulk_insert", None)
-            if check_bulk is None:
-                if getattr(constraint, "check_insert", None) is not None:
-                    return False
-                continue  # constraint guards nothing on insert
-            batch_checks.append(check_bulk)
-        for check_bulk in batch_checks:
-            check_bulk(relation, candidates)
-        return True
+            check = _batch_insert_check(constraint)
+            if check is not None:
+                check(scratch, candidates)
 
     def validate(self) -> None:
         """Re-check every constraint against the whole table."""
@@ -276,227 +287,146 @@ class Table:
         return sorted(matches, key=lambda r: r.items())
 
     # -- updates (algebra-defined) ----------------------------------------------------------
-    def insert(self, row: RowLike) -> XTuple:
-        """Insert one row (generalised union with a singleton relation)."""
-        candidate = self.relation._coerce_row(row)
-        self._check_insert(candidate)
-        with self._wal_lock():
-            self._log("insert", rows=[candidate])
-            is_new = candidate not in self.relation.tuples()
-            self.relation.add(candidate)
-            self.dominance.add(candidate)
-            for index in self.indexes.values():
-                index.insert(candidate)
-            if is_new:
-                self.statistics.add_row(candidate)
-        return candidate
+    def apply_delta(
+        self, removed: Iterable[XTuple], added: Iterable[XTuple]
+    ) -> Tuple[Set[XTuple], List[XTuple]]:
+        """The one write primitive: *removed* rows out, then *added* rows in.
 
-    def insert_many(self, rows: Iterable[RowLike], *, _coerced: bool = False) -> List[XTuple]:
-        """Insert a batch of rows atomically (union with a staged relation).
+        Section 7 defines every update this way, and every entry point
+        below (and WAL replay) is this call with its checks in front.
+        The arguments are trusted — no constraint runs here — but need
+        not be exact: rows of *removed* that are not stored and rows of
+        *added* that survive the removal (or repeat) are dropped first,
+        so what is logged and applied is the exact delta between the pre-
+        and post-state.  That delta is returned, and **swapping it is the
+        inverse**: ``apply_delta(added, removed)`` restores the rows, the
+        dominance index, every hash index and the statistics counters at
+        O(batch) cost.  One WAL record (``insert`` / ``remove`` / ``update``
+        by which sides are non-empty, none for an empty delta) is written
+        before one bulk update per structure.
+        """
+        stored = self.relation.tuples()
+        removed = {row for row in removed if row in stored}
+        added = [
+            row for row in dict.fromkeys(added)
+            if row not in stored or row in removed
+        ]
+        if not removed and not added:
+            return removed, added
+        with self._wal_lock():
+            if not removed:
+                self._log("insert", rows=added)
+            elif not added:
+                self._log("remove", rows=list(removed))
+            else:
+                self._log("update", removed=list(removed), rows=added)
+            self.relation._version += 1
+            if removed:
+                stored.difference_update(removed)
+                self.dominance.bulk_discard(removed)
+                for index in self.indexes.values():
+                    index.bulk_discard(removed)
+                self.statistics.remove_rows(removed)
+            if added:
+                stored.update(added)
+                self.dominance.bulk_add(added)
+                for index in self.indexes.values():
+                    index.bulk_add(added)
+                self.statistics.add_rows(added)
+        return removed, added
+
+    def insert(self, row: RowLike) -> XTuple:
+        """Insert one row — a singleton :meth:`insert_many`."""
+        return self.insert_many([row])[0]
+
+    def insert_many(self, rows: Iterable[RowLike]) -> List[XTuple]:
+        """Insert a batch of rows atomically (generalised union).
 
         The batch is coerced and constraint-checked *up front*; only then
-        are the rows applied, with one :meth:`DominanceIndex.bulk_add` /
-        :meth:`HashIndex.bulk_add` per structure instead of per-row
-        maintenance.  On any constraint failure the table is left exactly
-        as it was — all-or-nothing, unlike a loop of :meth:`insert`, which
-        would leave the rows preceding the offender behind.
-
-        ``_coerced`` is internal: the :class:`~repro.storage.database.Database`
-        facade passes rows it already ran through
-        :meth:`Relation._coerce_rows` (for the foreign-key checks), so the
-        batch is not coerced and validated twice.
-        """
-        candidates = list(rows) if _coerced else self.relation._coerce_rows(rows)
-        if not candidates:
-            return []
-        fresh = self._stage_bulk_insert(self.relation.tuples(), candidates)
-        with self._wal_lock():
-            self._log("insert", rows=fresh)
-            self._apply_bulk_add(fresh)
-        return candidates
-
-    def _stage_bulk_insert(
-        self, stored: set, candidates: Sequence[XTuple]
-    ) -> List[XTuple]:
-        """Check a batch against *stored* without touching live state.
-
-        Returns the de-duplicated genuinely-new rows to apply.  The batch
-        path checks against *stored* in place (read-only).  When some
-        constraint only knows ``check_insert``, the batch is simulated
-        row-at-a-time against a scratch relation seeded with a *copy* of
-        *stored* — the grows-as-you-insert view such a constraint expects
-        — so a failure anywhere leaves the table untouched (and, with a
-        WAL attached, unlogged)."""
-        scratch = Relation(self.schema, validate=False)
-        scratch._rows = stored
-        if self._check_bulk_insert(scratch, candidates):
-            return [c for c in dict.fromkeys(candidates) if c not in stored]
-        grown = scratch._rows = set(stored)
-        fresh: List[XTuple] = []
-        for candidate in candidates:
-            self._check_insert(candidate, scratch)
-            if candidate not in grown:
-                grown.add(candidate)
-                fresh.append(candidate)
-        return fresh
-
-    def _apply_bulk_add(self, fresh: Sequence[XTuple]) -> None:
-        """Add already-checked genuinely-new rows, one bulk update per
-        structure — the inverse of :meth:`_apply_bulk_remove`."""
-        self.relation.tuples().update(fresh)
-        self.relation._version += 1
-        self.dominance.bulk_add(fresh)
-        for index in self.indexes.values():
-            index.bulk_add(fresh)
-        self.statistics.add_rows(fresh)
-
-    def delete_many(
-        self,
-        rows: Iterable[RowLike],
-        *,
-        _coerced: bool = False,
-        _doomed: Optional[set] = None,
-    ) -> int:
-        """Delete a batch of rows by generalised difference, in one pass.
-
-        Per (4.8) each given row removes every stored row it subsumes; the
-        doomed set is the union over the batch, collected from the live
-        dominance index before anything is touched, then removed with one
-        bulk update per structure.  Returns the number of rows removed.
-        (``_coerced`` as in :meth:`insert_many`; ``_doomed`` lets the
-        :class:`~repro.storage.database.Database` facade pass the closure
-        it already probed for its foreign-key checks.)
-        """
-        targets = list(rows) if _coerced else self.relation._coerce_rows(rows)
-        doomed = self.dominance.bulk_probe_dominated(targets) if _doomed is None else _doomed
-        if not doomed:
-            return 0
-        with self._wal_lock():
-            self._log("remove", rows=list(doomed))
-            self._apply_bulk_remove(doomed)
-        return len(doomed)
-
-    def load(self, rows: Iterable[RowLike]) -> List[XTuple]:
-        """Atomically replace the table's contents with *rows*.
-
-        The bulk-load entry point: rows are coerced and checked against an
-        empty table (so the batch only has to be consistent with itself),
-        and the stored state — rows, dominance index, hash indexes — is
-        swapped in wholesale on success.  On failure the current contents
-        are untouched.
+        are the genuinely new rows applied through :meth:`apply_delta`.
+        On any constraint failure the table is left exactly as it was —
+        all-or-nothing.  Returns the coerced rows.
         """
         candidates = self.relation._coerce_rows(rows)
-        scratch = Relation(self.schema, validate=False)
-        if not self._check_bulk_insert(scratch, candidates):
-            for candidate in candidates:
-                self._check_insert(candidate, scratch)
-                scratch._rows.add(candidate)
-        self.reset_rows(candidates)
+        self._check_inserts(self.relation.tuples(), candidates)
+        self.apply_delta((), candidates)
         return candidates
 
-    def _remove_row(self, row: XTuple) -> None:
-        """Remove one stored row from the relation and every index."""
-        self.relation.discard(row)
-        self.dominance.discard(row)
-        for index in self.indexes.values():
-            index.remove(row)
-        self.statistics.remove_row(row)
-
-    def _apply_bulk_remove(self, doomed: set) -> None:
-        """Drop a set of *stored* rows with one bulk update per structure."""
-        self.relation.tuples().difference_update(doomed)
-        self.relation._version += 1
-        self.dominance.bulk_discard(doomed)
-        for index in self.indexes.values():
-            index.bulk_discard(doomed)
-        self.statistics.remove_rows(doomed)
-
     def delete(self, row: RowLike) -> int:
-        """Delete by generalised difference with a singleton relation.
+        """Delete one row — a singleton :meth:`delete_many`, so per (4.8)
+        deleting ``(p1, s2)`` also removes ``(p1, -)`` if present."""
+        return self.delete_many([row])
 
-        Following (4.8), every stored row that the given row subsumes is
-        removed — deleting ``(p1, s2)`` also removes ``(p1, -)`` if present,
-        since the latter carries no information not carried by the former.
-        The dominated rows come straight from the live dominance index
-        (one probe per stored signature), so nothing is scanned or rebuilt.
+    def delete_many(self, rows: Iterable[RowLike]) -> int:
+        """Delete a batch of rows by generalised difference, in one pass.
+
+        Per (4.8) each given row removes every stored row it subsumes —
+        the less informative row carries no information the given one
+        does not; the doomed set is the union over the batch, collected
+        from the live dominance index (nothing is scanned or rebuilt).
         Returns the number of rows removed.
         """
-        target = self.relation._coerce_row(row)
-        doomed = self.dominance.probe_dominated(target)
-        if not doomed:
-            return 0
-        with self._wal_lock():
-            self._log("remove", rows=list(doomed))
-            for victim in doomed:
-                self._remove_row(victim)
+        targets = self.relation._coerce_rows(rows)
+        doomed, _ = self.apply_delta(self.dominance.bulk_probe_dominated(targets), ())
         return len(doomed)
 
     def delete_where(self, predicate: Callable[[XTuple], bool]) -> int:
         """Delete every row satisfying a Python predicate (a convenience form).
 
         The matching rows come straight out of the stored set, so unlike
-        :meth:`delete` no (4.8) subsumption closure applies; removal goes
-        through the same bulk maintenance as :meth:`delete_many`.
+        :meth:`delete` no (4.8) subsumption closure applies.  The matched
+        row *set* is what gets logged, never the predicate — replay stays
+        closed over plain data even for lambda deletes.
         """
-        doomed = {r for r in self.relation.tuples() if predicate(r)}
-        if not doomed:
-            return 0
-        with self._wal_lock():
-            # The matched row *set* is logged, never the predicate — replay
-            # stays closed over plain data even for lambda deletes.
-            self._log("remove", rows=list(doomed))
-            self._apply_bulk_remove(doomed)
+        doomed, _ = self.apply_delta(
+            [r for r in self.relation.tuples() if predicate(r)], ()
+        )
         return len(doomed)
 
     def update(self, old_row: RowLike, new_row: RowLike) -> XTuple:
-        """Modification = deletion followed by addition (Section 7).
-
-        A singleton :meth:`update_many` — one batch-coercion pass, the
-        bulk (4.8) delete, the atomic bulk insert, and the post-state
-        restore discipline that re-adds the *whole* removed closure on
-        failure (not just the named row, which the old hand-rolled path
-        would strand)."""
+        """Modify one row — a singleton :meth:`update_many`."""
         return self.update_many([(old_row, new_row)])[0]
 
-    def update_many(self, pairs: Iterable[tuple], *, _coerced: bool = False) -> List[XTuple]:
+    def update_many(self, pairs: Iterable[tuple]) -> List[XTuple]:
         """Apply a batch of ``(old_row, new_row)`` modifications atomically.
 
-        Rides the same bulk machinery as :meth:`insert_many` /
-        :meth:`delete_many`: both sides are batch-coerced up front, every
-        old row must be present, and the new rows are constraint-checked
-        against the *post-delete* state on a scratch relation — before
-        anything (or any WAL record) is written.  Only a fully-validated
-        modification is then applied: the (4.8) subsumption closure of
-        the old rows comes out and the new rows go in, one bulk update
-        per structure, under a single logical ``update`` log record.  On
-        any check failure the table is left exactly as it was — no
-        rollback pass, because nothing was touched.  Returns the inserted
-        rows.  (``_coerced`` as in :meth:`insert_many`: the Database
-        facade passes pairs it already coerced, so the batch is not
-        validated twice.)
+        Modification = deletion followed by addition (Section 7): every
+        old row must be present, the new rows are constraint-checked
+        against the *post-delete* state, and only a fully-validated batch
+        is applied — the (4.8) closure of the old rows out, the new rows
+        in, as one :meth:`apply_delta`.  On any check failure nothing was
+        touched or logged.  Returns the new rows.
         """
-        staged = [(old, new) for old, new in pairs]
-        if _coerced:
-            olds = [old for old, _ in staged]
-            news = [new for _, new in staged]
-        else:
-            olds = self.relation._coerce_rows([old for old, _ in staged])
-            news = self.relation._coerce_rows([new for _, new in staged])
+        staged = list(pairs)
+        olds = self.relation._coerce_rows([old for old, _ in staged])
+        news = self.relation._coerce_rows([new for _, new in staged])
+        self.apply_delta(self._stage_update(olds, news), news)
+        return news
+
+    def _stage_update(self, olds: Sequence[XTuple], news: Sequence[XTuple]) -> Set[XTuple]:
+        """Validate a modification without touching live state; returns
+        the (4.8) closure of *olds* that applying it must remove."""
         stored = self.relation.tuples()
         for old in olds:
             if old not in stored:
                 raise StorageError(f"row {old!r} not present in table {self.name!r}")
-        if not staged:
-            return []
         doomed = self.dominance.bulk_probe_dominated(olds)
-        survivors = stored - doomed
-        fresh = self._stage_bulk_insert(survivors, news)
-        with self._wal_lock():
-            self._log("update", removed=list(doomed), rows=fresh)
-            if doomed:
-                self._apply_bulk_remove(doomed)
-            self._apply_bulk_add(fresh)
-        return news
+        if self.constraints:  # only a constrained table pays for the survivor set
+            self._check_inserts(stored - doomed, news)
+        return doomed
+
+    def load(self, rows: Iterable[RowLike]) -> List[XTuple]:
+        """Atomically replace the table's contents with *rows*.
+
+        The bulk-load entry point: rows are coerced and checked against an
+        empty table (so the batch only has to be consistent with itself),
+        and the stored state is swapped in wholesale (:meth:`reset_rows`)
+        on success.  On failure the current contents are untouched.
+        """
+        candidates = self.relation._coerce_rows(rows)
+        self._check_inserts(set(), candidates)
+        self.reset_rows(candidates)
+        return candidates
 
     def truncate(self) -> None:
         with self._wal_lock():

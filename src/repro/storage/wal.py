@@ -1,24 +1,28 @@
 """Write-ahead logging and checkpoint recovery for the storage layer.
 
 Everything in the engine so far lives and dies in process memory.  This
-module adds the durability layer underneath the atomic bulk-mutation
-funnel: every bulk entry point (``insert_many`` / ``delete_many`` /
-``update_many`` / ``load`` / ``truncate`` / ``reset_rows`` and all DDL —
-create/drop/rename table, create/drop index, foreign keys, ANALYZE)
-appends one **logical, replayable record** to the log *before* applying
-its state change, and :meth:`Session.transaction` brackets statement
-groups with begin/commit/abort markers.
+module adds the durability layer underneath the storage layer's write
+funnel: the one row-delta primitive (:meth:`Table.apply_delta`, behind
+``insert_many`` / ``delete_many`` / ``update_many`` and their singleton
+forms), the wholesale forms (``load`` / ``truncate`` / ``reset_rows``)
+and all DDL — create/drop/rename table, create/drop index, foreign keys,
+ANALYZE — each append one **logical, replayable record** to the log
+*before* applying their state change, and :meth:`Session.transaction`
+brackets statement groups with begin/commit/abort markers.
 
 Design notes
 ------------
 
-* **Logical logging off the bulk funnel.**  The bulk entry points already
-  compute the exact row deltas — coerced candidate rows on insert, the
-  (4.8) dominated closure on delete — so a record is just ``(op kind,
-  table, row sets)`` and replay never re-runs constraints, predicates or
-  foreign-key checks (they passed when the record was written).  Notably,
-  ``delete_where`` logs its matched row set, so arbitrary Python
-  predicates never need to be serialised.
+* **Logical logging off the write primitive.**  ``apply_delta`` logs the
+  exact row delta it is about to apply — genuinely new rows in, the
+  (4.8) dominated closure out — so a record is just ``(op kind, table,
+  row sets)``: ``insert`` (rows in), ``remove`` (rows out) or ``update``
+  (both), and replay is the same ``apply_delta`` call; it never re-runs
+  constraints, predicates or foreign-key checks (they passed when the
+  record was written).  Notably, ``delete_where`` logs its matched row
+  set, so arbitrary Python predicates never need to be serialised, and
+  a statement undone by its inverse delta (a REPLACE failing its
+  post-state FK check) logs that inverse as one more O(batch) record.
 
 * **Frames.**  Each record is one length-prefixed, CRC32-checksummed
   frame (``<u32 length><u32 crc32><pickle payload>``).  The reader stops
@@ -232,37 +236,23 @@ def committed_prefix(
 def apply_record(database, record: Dict[str, Any]) -> None:
     """Apply one replayable record to *database*.
 
-    Row-delta records go through the table's trusted bulk-apply helpers
-    (the same one-update-per-structure paths the live entry points use);
-    constraint and foreign-key checks are *not* re-run — they passed when
-    the record was logged.  Must be called with the database's WAL either
-    unattached or in replay mode, so nothing is re-logged.
+    Row-delta records go through :meth:`Table.apply_delta`, the one write
+    primitive the live entry points use; constraint and foreign-key
+    checks are *not* re-run — they passed when the record was logged.
+    Must be called with the database's WAL either unattached or in replay
+    mode, so nothing is re-logged.
     """
     op = record["op"]
     if op in _MARKERS:
         return
     catalog = database.catalog
-    if op == "insert":
+    if op in ("insert", "remove", "update"):
+        # One delta; the kind only says which sides the record carries.
         table = catalog.table(record["table"])
-        stored = table.relation.tuples()
-        fresh = [r for r in dict.fromkeys(record["rows"]) if r not in stored]
-        if fresh:
-            table._apply_bulk_add(fresh)
-    elif op == "remove":
-        table = catalog.table(record["table"])
-        stored = table.relation.tuples()
-        doomed = {r for r in record["rows"] if r in stored}
-        if doomed:
-            table._apply_bulk_remove(doomed)
-    elif op == "update":
-        table = catalog.table(record["table"])
-        stored = table.relation.tuples()
-        doomed = {r for r in record["removed"] if r in stored}
-        if doomed:
-            table._apply_bulk_remove(doomed)
-        fresh = [r for r in dict.fromkeys(record["rows"]) if r not in stored]
-        if fresh:
-            table._apply_bulk_add(fresh)
+        if op == "remove":
+            table.apply_delta(record["rows"], ())
+        else:
+            table.apply_delta(record.get("removed", ()), record["rows"])
     elif op == "load":
         catalog.table(record["table"]).reset_rows(
             record["rows"], statistics=record.get("statistics")

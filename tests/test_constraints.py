@@ -57,14 +57,14 @@ class TestKeys:
     def test_check_insert_guards_duplicates(self):
         r = Relation.from_rows(["K", "V"], [(1, "a")])
         with pytest.raises(KeyViolation):
-            KeyConstraint(["K"]).check_insert(r, XTuple(K=1, V="zzz"))
-        KeyConstraint(["K"]).check_insert(r, XTuple(K=2, V="b"))
+            KeyConstraint(["K"]).check_bulk_insert(r, [XTuple(K=1, V="zzz")])
+        KeyConstraint(["K"]).check_bulk_insert(r, [XTuple(K=2, V="b")])
 
     def test_composite_key(self):
         r = Relation.from_rows(["A", "B", "V"], [(1, 1, "x"), (1, 2, "y")])
         KeyConstraint(["A", "B"]).check(r)
         with pytest.raises(KeyViolation):
-            KeyConstraint(["A", "B"]).check_insert(r, XTuple(A=1, B=2, V="clash"))
+            KeyConstraint(["A", "B"]).check_bulk_insert(r, [XTuple(A=1, B=2, V="clash")])
 
 
 class TestFunctionalDependencies:
@@ -99,9 +99,9 @@ class TestFunctionalDependencies:
     def test_check_insert(self):
         r = Relation.from_rows(["E", "D", "M"], [(1, "d1", "m1")])
         fd = FunctionalDependency(["D"], ["M"])
-        fd.check_insert(r, XTuple(E=2, D="d1", M="m1"))
+        fd.check_bulk_insert(r, [XTuple(E=2, D="d1", M="m1")])
         with pytest.raises(ConstraintViolation):
-            fd.check_insert(r, XTuple(E=3, D="d1", M="other"))
+            fd.check_bulk_insert(r, [XTuple(E=3, D="d1", M="other")])
 
     def test_empty_sides_rejected(self):
         with pytest.raises(ConstraintViolation):
@@ -167,8 +167,8 @@ class TestForeignKeys:
     def test_check_delete_restricts(self, departments, fk):
         employees = Relation.from_rows(["E#", "DEPT#"], [(10, 1)], name="EMP")
         with pytest.raises(ReferentialViolation):
-            fk.check_delete(employees, XTuple({"D#": 1, "DNAME": "eng"}), departments)
-        fk.check_delete(employees, XTuple({"D#": 2, "DNAME": "ops"}), departments)
+            fk.check_bulk_delete(employees, [XTuple({"D#": 1, "DNAME": "eng"})], departments)
+        fk.check_bulk_delete(employees, [XTuple({"D#": 2, "DNAME": "ops"})], departments)
 
 
 class TestSchemaConstraints:

@@ -13,10 +13,12 @@ from hypothesis import given, settings, strategies as st
 
 import repro
 from repro.constraints.keys import KeyConstraint
+from repro.constraints.referential import ForeignKeyConstraint
 from repro.core.errors import (
     QuelError,
     QuelParseError,
     QuelSemanticError,
+    ReferentialViolation,
     StorageError,
 )
 from repro.core.threevalued import compare
@@ -31,6 +33,7 @@ from repro.quel.ast_nodes import (
     normalize_statement,
 )
 from repro.storage import Database
+from repro.storage.wal import read_frames
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +242,63 @@ class TestDmlExecution:
             # Collapsing both keys onto 1 violates the key constraint.
             session.execute('range of r is R replace r (K = 1)')
         assert keyed.snapshot() == before
+
+    @staticmethod
+    def _failed_replace(directory, size):
+        """A REPLACE whose post-state FK check fails, on a *size*-row
+        WAL-backed child table; returns what the statement left behind."""
+        database = Database.open(directory, sync="none")
+        database.create_table("P", ["K"], constraints=[KeyConstraint(["K"])])
+        child = database.create_table("C", ["K", "P"])
+        child.create_index(["P"])
+        database.add_foreign_key("C", ForeignKeyConstraint(["P"], "P", ["K"]))
+        database.insert_many("P", [(i,) for i in range(size)])
+        database.insert_many("C", [(i, i) for i in range(size)])
+        database.analyze()
+        database.insert("C", (size, 0))  # churn since ANALYZE
+        index = child.find_index(["P"])
+        wal = database.wal
+
+        def state():
+            wal.flush()
+            return (
+                set(child.rows()),
+                {key: set(bucket) for key, bucket in index._buckets.items()},
+                child.statistics.histogram("K") is not None,
+                database.epoch,
+            )
+
+        before = state()
+        churn = child.statistics.mutations_since_analyze
+        records_before = len(read_frames(wal.log_path)[0])
+        position = wal.position()
+        with pytest.raises(ReferentialViolation):
+            repro.connect(database).execute(
+                'range of c is C replace c (P = 999999) where c.K = 5'
+            )
+        after = state()
+        logged = read_frames(wal.log_path)[0][records_before:]
+        outcome = (
+            before, after, churn, child.statistics.mutations_since_analyze,
+            wal.position() - position, [record["op"] for record in logged],
+        )
+        database.close()
+        return outcome
+
+    def test_failed_replace_is_undone_by_the_inverse_delta(self, tmp_path):
+        """A REPLACE that fails its post-state FK check leaves rows, index
+        contents, histograms and the epoch as they were — undone by the
+        inverse delta, not by reloading the table: no hidden ANALYZE
+        (the staleness counter keeps counting) and no ``load`` record, so
+        what it logs does not grow with the table."""
+        before, after, churn, churn_after, small, ops = self._failed_replace(
+            str(tmp_path / "small"), 50
+        )
+        assert after == before and before[2] is True
+        assert churn > 0 and churn_after > churn
+        assert ops == ["update", "update"]  # the delta and its inverse
+        *_, large, _ = self._failed_replace(str(tmp_path / "large"), 2000)
+        assert large == small
 
     def test_retrieve_into_materializes(self, session, db):
         result = session.execute(

@@ -56,7 +56,7 @@ class TestTableStatistics:
         stats = TableStatistics()
         stats.add_rows(batch)
         assert stats == TableStatistics(batch)
-        stats.remove_row(batch[0])
+        stats.remove_rows(batch[:1])
         assert stats == TableStatistics(batch[1:])
         stats.remove_rows(batch[1:])
         assert stats.row_count == 0
@@ -70,7 +70,7 @@ class TestTableStatistics:
         for i in range(3):
             row = XTuple({"A": i})
             seen.append(row)
-            stats.add_row(row)
+            stats.add_rows([row])
         assert stats.mutations_since_analyze == 3
         assert stats.stale
         stats.analyze(seen)

@@ -13,17 +13,24 @@ Two families of guarantees:
   distinct/null counters, signature histogram) equals an
   ``analyze()``-from-scratch recount after the same interleavings; the
   incremental path can never drift from the definitional counts.
+* **One write primitive** — any :meth:`Table.apply_delta` followed by
+  the same call with the returned delta swapped restores rows, both
+  kinds of index and the statistics counters exactly; the single-row
+  entry points are singletons of the batch ones on state, return value
+  and WAL records.
 * **Atomicity** — a constraint failure anywhere in a batch leaves the
   table (rows, dominance index, hash indexes) exactly as it was.  The
   seed ``insert_many`` was a bare loop of ``insert``, so a mid-batch key
   violation used to leave the earlier rows behind; these are the
   regression tests pinning the all-or-nothing contract, including the
-  sequential fallback used for constraints that predate the batch API.
+  row-at-a-time adapter for constraints that predate the batch API.
 
 All tests run derandomized (seeded) so CI failures reproduce exactly.
 """
 
 from __future__ import annotations
+
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -42,6 +49,7 @@ from repro.stats import TableStatistics
 from repro.storage.database import Database
 from repro.storage.index import HashIndex
 from repro.storage.table import Table
+from repro.storage.wal import read_frames
 
 ATTRIBUTES = ("A", "B", "C")
 VALUES = st.one_of(st.none(), st.integers(min_value=0, max_value=2))
@@ -168,6 +176,84 @@ class TestMutationInterleavings:
         assert len(bulk_index) == len(loop_index)
 
 
+class TestDeltaPrimitive:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        st.lists(OPERATIONS, max_size=8),
+        st.lists(ROWS, max_size=6),
+        st.lists(ROWS, max_size=6),
+    )
+    def test_delta_then_inverse_restores_every_structure(
+        self, operations, removed, added
+    ):
+        """apply_delta(removed, added) then apply_delta of the returned
+        delta, swapped, ≡ the pre-state: rows, dominance index, every
+        hash index and the statistics counters all equal a from-scratch
+        rebuild of the rows the table held before."""
+        table = Table(ATTRIBUTES, name="T")
+        table.create_index(["A"])
+        table.create_index(["A", "B"])
+        apply_operations(table, operations)
+        before = set(table.rows())
+        coerce = table.relation._coerce_rows
+        went, came = table.apply_delta(coerce(removed), coerce(added))
+        # The returned delta is exact: what left was stored, what came
+        # in was not (or left in the same call).
+        assert went <= before and not (set(came) & (before - went))
+        assert set(table.rows()) == (before - went) | set(came)
+        assert_indexes_match_rebuild(table)
+        table.apply_delta(came, went)
+        assert set(table.rows()) == before
+        assert_indexes_match_rebuild(table)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.sampled_from(["insert", "delete"]), ROWS), max_size=8))
+    def test_single_row_forms_are_singleton_batches(self, operations):
+        """insert(r) / delete(r) ≡ insert_many([r]) / delete_many([r]),
+        on Table and Database alike: same return value, same state
+        (staleness counter included), same WAL records."""
+        with tempfile.TemporaryDirectory() as directory:
+            outcomes = []
+            for batched in (False, True):
+                database = Database.open(f"{directory}/{batched}", sync="none")
+                table = database.create_table("T", ATTRIBUTES)
+                table.create_index(["A"])
+                returned = []
+                for position, (kind, row) in enumerate(operations):
+                    # Alternate the facade and the table underneath it.
+                    target = table if position % 2 else _Bound(database, "T")
+                    if batched and kind == "insert":
+                        returned.append(target.insert_many([row])[0])
+                    elif batched:
+                        returned.append(target.delete_many([row]))
+                    else:
+                        returned.append(getattr(target, kind)(row))
+                assert_indexes_match_rebuild(table)
+                database.wal.flush()
+                records = read_frames(database.wal.log_path)[0]
+                for record in records:
+                    for key in ("rows", "removed"):
+                        if key in record:
+                            record[key] = sorted(record[key], key=XTuple.items)
+                outcomes.append((
+                    returned, set(table.rows()),
+                    table.statistics.mutations_since_analyze, records,
+                ))
+                database.close()
+            assert outcomes[0] == outcomes[1]
+
+
+class _Bound:
+    """``database.<method>("T", …)`` with the table name bound, so one
+    loop can drive a :class:`Database` and a :class:`Table` alike."""
+
+    def __init__(self, database: Database, name: str):
+        self._database, self._name = database, name
+
+    def __getattr__(self, method):
+        return lambda *args: getattr(self._database, method)(self._name, *args)
+
+
 class TestStatisticsProperties:
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(st.lists(OPERATIONS, max_size=12))
@@ -252,9 +338,10 @@ class TestInsertManyAtomicity:
             table.insert_many([(2, "bob", 5), (3, None, 6)])
         assert self.snapshot(table) == before
 
-    def test_sequential_fallback_is_atomic_too(self):
-        """A constraint offering only check_insert forces the sequential
-        path; a mid-batch failure must still roll back wholesale."""
+    def test_legacy_check_insert_constraint_is_atomic_too(self):
+        """A constraint offering only check_insert is adapted to the batch
+        form (row at a time against a growing copy); a mid-batch failure
+        must still leave the table untouched."""
 
         class LegacyConstraint:
             def check_insert(self, relation, row):
@@ -288,11 +375,11 @@ class TestInsertManyAtomicity:
 
 
 class TestUpdateMany:
-    """``update`` / ``update_many`` ride the bulk entry points: one batch
-    coercion, bulk (4.8) delete, atomic bulk insert, and the post-state
-    restore discipline — on failure the *whole* removed closure comes
-    back, not just the named rows (the old hand-rolled update restored
-    only the named row and stranded its dominated companions)."""
+    """``update`` / ``update_many`` are one delta — the (4.8) closure of
+    the old rows out, the new rows in — checked in full before anything
+    is touched; where a check can only run on the post state (foreign
+    keys), the inverse delta brings the *whole* removed closure back,
+    not just the named rows."""
 
     def make_table(self) -> Table:
         table = Table(
@@ -363,7 +450,7 @@ class TestUpdateMany:
     def test_database_update_many_enforces_foreign_keys_post_state(self):
         """Modification = deletion followed by addition, so both FK
         directions are re-checked on the post state (exactly the REPLACE
-        discipline), with wholesale restore on violation."""
+        discipline), undone by the inverse delta on violation."""
         database = Database("hr")
         database.create_table("DEPT", ["DNAME"], constraints=[KeyConstraint(["DNAME"])])
         database.create_table("EMP", ["E#", "DNAME"], constraints=[KeyConstraint(["E#"])])

@@ -35,8 +35,9 @@ from repro.api.session import connect
 from repro.constraints.keys import KeyConstraint
 from repro.constraints.referential import ForeignKeyConstraint
 from repro.constraints.schema_constraints import RowConstraint
-from repro.core.errors import StorageError, WalError, WalWarning
+from repro.core.errors import ReferentialViolation, StorageError, WalError, WalWarning
 from repro.core.tuples import XTuple
+from repro.stats import TableStatistics
 from repro.storage.database import Database
 from repro.storage.wal import (
     CheckpointWorker,
@@ -330,6 +331,78 @@ class TestRecovery:
         assert canonical_state(database) == before
         recovered = recover_copy(source, str(tmp_path / "copy"))
         assert canonical_state(recovered) == before
+        recovered.close()
+        database.close()
+
+    def test_failed_replace_recovers_to_the_pre_statement_state(self, tmp_path):
+        """A REPLACE that fails its post-state FK check is undone live by
+        the inverse delta; both records are in the log, so a crash-copy
+        replays to the same pre-statement state."""
+        source = str(tmp_path / "db")
+        database = Database.open(source)
+        database.create_table("P", ["K"], constraints=[KeyConstraint(["K"])])
+        database.create_table("C", ["K", "P"]).create_index(["P"])
+        database.add_foreign_key("C", ForeignKeyConstraint(["P"], "P", ["K"]))
+        database.insert_many("P", [{"K": i} for i in range(4)])
+        database.insert_many("C", [{"K": i, "P": i % 4} for i in range(12)])
+        database.insert("C", XTuple({"K": 5}))  # dominated by (K=5, P=1)
+        before = canonical_state(database)
+        with pytest.raises(ReferentialViolation):
+            connect(database).execute(
+                "range of c is C replace c (P = 99) where c.K = 5"
+            )
+        assert canonical_state(database) == before
+        recovered = recover_copy(source, str(tmp_path / "copy"))
+        assert canonical_state(recovered) == before
+        assert recovered.table("C").statistics == database.table("C").statistics
+        recovered.close()
+        database.close()
+
+    def test_log_written_before_the_delta_primitive_still_replays(self, tmp_path):
+        """The record kinds on disk did not change, but what earlier
+        writers put in them was looser: the per-row ``insert`` logged its
+        row even when already stored, an all-duplicate batch logged an
+        empty ``insert``, and replacing a row by itself logged it on both
+        sides of an ``update``.  Replay must take all of it."""
+        source = str(tmp_path / "db")
+        database = Database.open(source)
+        database.create_table("T", ["K", "A"]).create_index(["A"])
+        database.create_table("S", ["X"])
+
+        def rows(*assignments):
+            return [XTuple(assignment) for assignment in assignments]
+
+        for record in [
+            {"op": "insert", "table": "T",
+             "rows": rows(*({"K": i, "A": i % 3} for i in range(8)))},
+            {"op": "insert", "table": "T", "rows": rows({"K": 1, "A": 1})},
+            {"op": "insert", "table": "T", "rows": rows({"K": 50})},
+            {"op": "insert", "table": "T", "rows": []},
+            {"op": "remove", "table": "T", "rows": rows({"K": 4, "A": 1})},
+            {"op": "update", "table": "T",
+             "removed": rows({"K": 3, "A": 0}), "rows": rows({"K": 3, "A": 0})},
+            {"op": "update", "table": "T",
+             "removed": rows({"K": 7, "A": 1}), "rows": rows({"K": 70, "A": 2})},
+            {"op": "insert", "table": "S", "rows": rows({"X": 1}, {"X": 2})},
+            {"op": "load", "table": "S", "rows": rows({"X": 9}), "statistics": None},
+            {"op": "truncate", "table": "S"},
+            {"op": "insert", "table": "S", "rows": rows({"X": 3})},
+        ]:
+            database.wal.append(record)  # logged, never applied live
+        database.wal.flush()
+        recovered = recover_copy(source, str(tmp_path / "copy"))
+        table = recovered.table("T")
+        expected = set(rows(
+            {"K": 0, "A": 0}, {"K": 1, "A": 1}, {"K": 2, "A": 2},
+            {"K": 3, "A": 0}, {"K": 5, "A": 2}, {"K": 6, "A": 0},
+            {"K": 70, "A": 2}, {"K": 50},
+        ))
+        assert set(table.rows()) == expected
+        assert table.statistics == TableStatistics(expected)
+        assert table.find_index(["A"]).lookup([2]) == {
+            row for row in expected if row["A"] == 2
+        }
+        assert set(recovered.table("S").rows()) == set(rows({"X": 3}))
         recovered.close()
         database.close()
 
