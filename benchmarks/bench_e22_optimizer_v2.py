@@ -1,6 +1,6 @@
-"""E22 — Optimizer v2: histograms, DP join enumeration, feedback, result cache.
+"""E22 — Optimizer v2: histograms, DP join enumeration, result cache.
 
-Four workloads, each pinning one of the Optimizer v2 claims:
+Three workloads, each pinning one of the Optimizer v2 claims:
 
 * **range_plan** — per-attribute equi-depth histograms turn range
   selectivity from the textbook 1/3 into a data-driven estimate: on a
@@ -13,11 +13,6 @@ Four workloads, each pinning one of the Optimizer v2 claims:
   answer.  The plan must start from the selective filtered range and
   walk the chain from there (recorded ratios vs the former greedy
   enumerator: ROADMAP architecture notes).
-* **feedback_error** — the adaptive loop: without ANALYZE the theta
-  constant underestimates a skewed range filter ~3x; executing through
-  a Session folds actual/estimated ratios into the table's bounded
-  correction factor, and the median relative estimate error across the
-  query set strictly drops.
 * **result_cache** — the semantic result cache: repeating a retrieve
   on an unchanged table answers from the cache (>=10x faster at 10k
   rows) with hit/miss/entry counters in the Prometheus rendering.
@@ -39,7 +34,6 @@ from __future__ import annotations
 
 import os
 import random
-import statistics
 import sys
 import time
 from typing import Callable, List, Tuple
@@ -65,16 +59,6 @@ TRAP_QUERY = (
     "range of a is A range of b is B range of g is BIG range of t is TRAP "
     "retrieve (a.U, t.W) "
     "where a.S = 1 and a.U = b.U and b.V = g.V and g.F = t.F"
-)
-
-#: Range filters over the skewed attribute (all keep far more than 1/3).
-FEEDBACK_QUERIES = tuple(
-    (
-        f"range of s is SKEW range of d is DIM retrieve (s.Y, d.Z) "
-        f"where s.X < {constant} and s.K = d.K",
-        constant,
-    )
-    for constant in (60, 80, 100)
 )
 
 CACHE_QUERY = "range of t is T retrieve (t.A, t.B) where t.B != 3"
@@ -146,24 +130,6 @@ def trap_reference(database: Database) -> set:
     }
 
 
-def skew_database(size: int, seed: int) -> Database:
-    """SKEW.X: 95% of rows uniform in [0, 100), 5% long tail — every
-    FEEDBACK_QUERIES filter keeps 55–95% of rows, ~2–3x the theta
-    constant's guess.  Statistics are left un-ANALYZEd on purpose."""
-    rng = random.Random(seed)
-    database = Database("e22-skew")
-    skew = database.create_table("SKEW", ["X", "Y", "K"])
-    head = [(rng.randrange(100), i, i % 20) for i in range(int(size * 0.95))]
-    tail = [
-        (100 + rng.randrange(9000), size + i, i % 20)
-        for i in range(size - len(head))
-    ]
-    skew.insert_many(head + tail)
-    dim = database.create_table("DIM", ["K", "Z"])
-    dim.insert_many([(k, k * 10) for k in range(20)])
-    return database
-
-
 def cache_database(size: int, seed: int) -> Database:
     database = Database("e22-cache", metrics=MetricsRegistry())
     table = database.create_table("T", ["A", "B"])
@@ -192,7 +158,7 @@ def _join_steps(plan: Plan) -> List[str]:
 
 
 def run_experiments(sizes=FULL_SIZES, metric=None, line=None):
-    """Measure all four workloads at every size, asserting agreement."""
+    """Measure all three workloads at every size, asserting agreement."""
 
     def emit(op, variant, rows, seconds, **extra):
         if metric is not None:
@@ -235,41 +201,7 @@ def run_experiments(sizes=FULL_SIZES, metric=None, line=None):
         assert [step.split()[3] for step in _join_steps(plan)] == ["b", "g", "t"]
         emit("dp_4way", "engine", size, dp_seconds)
 
-        # -- (c) adaptive feedback shrinks the estimate error -----------------
-        database = skew_database(size, seed=size + 2)
-        session = Session(database, result_cache_size=0)
-        stats = database.catalog.table("SKEW").statistics
-        table_rows = list(database.catalog.table("SKEW").rows())
-
-        def errors():
-            out = []
-            for text, constant in FEEDBACK_QUERIES:
-                actual = sum(
-                    1 for row in table_rows
-                    if row.get("X", None) is not None and row["X"] < constant
-                )
-                estimated = DEFAULT_COST_MODEL.estimate_selection(
-                    stats, "X", "<", value=constant
-                ) * stats.correction
-                out.append(abs(estimated - actual) / max(actual, 1))
-            return out
-
-        before_errors = errors()
-        start = time.perf_counter()
-        for _ in range(3):
-            for text, _constant in FEEDBACK_QUERIES:
-                session.execute(text).rows
-            session.clear_statement_cache()  # re-plan under the corrections
-        feedback_seconds = time.perf_counter() - start
-        after_errors = errors()
-        assert statistics.median(after_errors) < statistics.median(before_errors)
-        emit("feedback_error", "seed", size, feedback_seconds,
-             median_error=round(statistics.median(before_errors), 3))
-        emit("feedback_error", "engine", size, feedback_seconds,
-             median_error=round(statistics.median(after_errors), 3),
-             correction=round(stats.correction, 3))
-
-        # -- (d) semantic result cache ----------------------------------------
+        # -- (c) semantic result cache ----------------------------------------
         database = cache_database(size, seed=size + 3)
         cached = Session(database)
         uncached = Session(database, result_cache_size=0)
@@ -296,9 +228,7 @@ def run_experiments(sizes=FULL_SIZES, metric=None, line=None):
 
         if line is not None:
             line(
-                f"n={size}: range-plan flip + DP order a→b→g→t + feedback error "
-                f"{round(statistics.median(before_errors), 2)}→"
-                f"{round(statistics.median(after_errors), 2)} + "
+                f"n={size}: range-plan flip + DP order a→b→g→t + "
                 f"{round(speedup, 1)}x cache hits (metrics in results.json)"
             )
 
@@ -333,7 +263,7 @@ def main(argv: List[str]) -> int:
     metrics = conftest._METRICS["e22_optimizer_v2"]
     by_key = {(m["op"], m["variant"], m["rows"]): m for m in metrics}
     print(f"{'op':<22} {'rows':>6} {'seed s':>10} {'engine s':>10} {'speedup':>8}")
-    for op in ("range_plan", "feedback_error", "result_cache"):
+    for op in ("range_plan", "result_cache"):
         for size in sizes:
             seed = by_key.get((op, "seed", size))
             engine = by_key.get((op, "engine", size))

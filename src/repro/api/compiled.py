@@ -138,21 +138,12 @@ def _check_assignments(table, assignments: Sequence[Assignment]) -> None:
 
 
 class CompiledStatement:
-    """Base class: an executable, parameterisable compiled statement.
-
-    ``execute`` takes an optional *parallelism* knob (see
-    :class:`repro.quel.planner.Plan`): the general retrieve path passes
-    it through to plan compilation; the fast path and the DML statements
-    accept and ignore it (an index probe or a mutation batch has nothing
-    to partition).
-    """
+    """Base class: an executable, parameterisable compiled statement."""
 
     #: Parameter names the statement template mentions.
     parameters: Tuple[str, ...] = ()
 
-    def execute(
-        self, params: Mapping[str, Any], parallelism=None
-    ) -> ResultSet:
+    def execute(self, params: Mapping[str, Any]) -> ResultSet:
         raise NotImplementedError
 
     def describe(self, params: Optional[Mapping[str, Any]] = None) -> str:
@@ -194,12 +185,10 @@ class _PlanRetrieve(CompiledStatement):
     def referenced_tables(self) -> Optional[Tuple[Any, ...]]:
         return self._tables
 
-    def execute(
-        self, params: Mapping[str, Any], parallelism=None
-    ) -> ResultSet:
+    def execute(self, params: Mapping[str, Any]) -> ResultSet:
         started = time.perf_counter()
         query = self.analyzed.bind(params)
-        plan = Plan(query, self.database, parallelism=parallelism)
+        plan = Plan(query, self.database)
         if self.into:
             # RETRIEVE INTO creates and loads a table: it must run now.
             answer = plan.execute()
@@ -408,10 +397,7 @@ class _FastRetrieve(CompiledStatement):
         schema = RelationSchema(self.output_attributes, name="Q")
         return Pipeline(node, schema, trace)
 
-    def execute(
-        self, params: Mapping[str, Any], parallelism=None
-    ) -> ResultSet:
-        # A single probe/scan template: nothing worth partitioning.
+    def execute(self, params: Mapping[str, Any]) -> ResultSet:
         return ResultSet(pipeline=self.make_pipeline(params))
 
     def describe(self, params: Optional[Mapping[str, Any]] = None) -> str:
@@ -469,9 +455,7 @@ class _CompiledDelete(CompiledStatement):
         )
         self.parameters = self.analyzed.parameters
 
-    def execute(
-        self, params: Mapping[str, Any], parallelism=None
-    ) -> ResultSet:
+    def execute(self, params: Mapping[str, Any]) -> ResultSet:
         query = self.analyzed.bind(params)
         source = Plan(query, self.database).compile()
         sink = DeleteSink(self.database, self.table, source)
@@ -586,9 +570,7 @@ class _CompiledAppend(CompiledStatement):
 
         return build
 
-    def execute(
-        self, params: Mapping[str, Any], parallelism=None
-    ) -> ResultSet:
+    def execute(self, params: Mapping[str, Any]) -> ResultSet:
         if self.analyzed is None:
             sink = AppendSink(
                 self.database, self.table,
@@ -653,9 +635,7 @@ class _CompiledReplace(CompiledStatement):
         parameters.extend(n for n in self.analyzed.parameters if n not in parameters)
         self.parameters = tuple(dict.fromkeys(parameters))
 
-    def execute(
-        self, params: Mapping[str, Any], parallelism=None
-    ) -> ResultSet:
+    def execute(self, params: Mapping[str, Any]) -> ResultSet:
         query = self.analyzed.bind(params)
         source = Plan(query, self.database).compile()
         assignments = self.assignments

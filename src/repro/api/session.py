@@ -136,17 +136,10 @@ class PreparedStatement:
         """The ``$name`` placeholders the statement expects."""
         return self._ensure_compiled().parameters
 
-    def execute(
-        self,
-        params: Optional[Mapping[str, Any]] = None,
-        parallelism: Optional[Any] = None,
-    ) -> ResultSet:
-        """Run the statement.  *parallelism* (``None``/``1``/``N``/
-        ``"auto"``) selects partitioned parallel execution for retrieves
-        — see :class:`repro.quel.planner.Plan`; DML and the fast path
-        ignore it."""
+    def execute(self, params: Optional[Mapping[str, Any]] = None) -> ResultSet:
+        """Run the statement."""
         self.session._check_open()
-        result = self._ensure_compiled().execute(params or {}, parallelism=parallelism)
+        result = self._ensure_compiled().execute(params or {})
         self.session._track_result(result)
         return result
 
@@ -302,18 +295,13 @@ class Session:
         :mod:`repro.api.result_cache`).  ``0`` disables result caching —
         every retrieve then re-executes.
 
-    Every drained plan folds its per-step actual/estimated row ratios
-    back into the scanned tables' statistics as bounded correction
-    factors the optimizer consults on the next plan (see
-    :meth:`repro.stats.TableStatistics.observe_estimate`).
-
     Every :meth:`execute` call opens a query trace — phase wall times
     (parse → analyze → plan → execute), statement kind, plan shape and
     rows in/out — and reports into the database's metrics registry
     (``repro.obs``): statements by kind and outcome, latency histograms,
     plan-cache hit/miss/stale-epoch counters, transaction markers, and —
-    once a lazy pipeline drains — the per-operator actuals, exchange
-    shard statistics and the planner's estimate-vs-actual error.
+    once a lazy pipeline drains — the per-operator actuals and the
+    planner's estimate-vs-actual error.
     Setting :attr:`slow_query_threshold` (seconds) additionally routes
     statements slower than the threshold to the slow-query log
     (``repro.obs.slow_query_logger``) and the
@@ -411,20 +399,6 @@ class Session:
             "(1.0 = perfect estimate), recorded when the plan drains.",
             buckets=ERROR_RATIO_BUCKETS,
         )
-        self._shard_rows_metric = registry.counter(
-            "repro_exchange_shard_rows_total",
-            "Rows reduced per parallel worker shard.",
-            ("partition",),
-        )
-        self._shard_seconds_metric = registry.counter(
-            "repro_exchange_shard_seconds_total",
-            "Wall seconds per parallel worker shard.",
-            ("partition",),
-        )
-        self._skew_metric = registry.gauge(
-            "repro_exchange_skew",
-            "Shard skew (max/mean rows) of the most recent parallel drain.",
-        )
 
     # -- lifecycle ------------------------------------------------------------
     @property
@@ -516,16 +490,8 @@ class Session:
         self,
         text: str,
         params: Optional[Mapping[str, Any]] = None,
-        parallelism: Optional[Any] = None,
     ) -> ResultSet:
-        """Run any QUEL statement; see the module docstring for the surface.
-
-        *parallelism* opts a retrieve into partitioned parallel
-        execution: ``N >= 2`` runs that many plan fragments in worker
-        processes, ``"auto"`` lets the optimizer's row estimates decide,
-        ``None``/``1`` (default) runs the plain serial pipeline.  DML
-        statements accept and ignore it.
-        """
+        """Run any QUEL statement; see the module docstring for the surface."""
         self._check_open()
         trace = self._new_trace(text)
         started = time.perf_counter()
@@ -536,13 +502,12 @@ class Session:
             self._fail_trace(trace, error, started)
             raise
         trace.phase("parse", time.perf_counter() - started)
-        return self._traced_execute(prepared, trace, started, params, parallelism)
+        return self._traced_execute(prepared, trace, started, params)
 
     def execute_prepared(
         self,
         prepared: PreparedStatement,
         params: Optional[Mapping[str, Any]] = None,
-        parallelism: Optional[Any] = None,
     ) -> ResultSet:
         """Run an already-prepared statement with full session tracing —
         the same trace/metric surface as :meth:`execute`, minus the parse
@@ -557,13 +522,12 @@ class Session:
             )
         trace = self._new_trace(prepared.text)
         started = time.perf_counter()
-        return self._traced_execute(prepared, trace, started, params, parallelism)
+        return self._traced_execute(prepared, trace, started, params)
 
     def executemany(
         self,
         text: str,
         param_sequence: Iterable[Mapping[str, Any]],
-        parallelism: Optional[Any] = None,
     ) -> int:
         """Execute one prepared statement per parameter set; the total
         ``rows_affected``.  The statement compiles once (each execution
@@ -573,9 +537,7 @@ class Session:
         for params in param_sequence:
             trace = self._new_trace(text)
             started = time.perf_counter()
-            result = self._traced_execute(
-                prepared, trace, started, params, parallelism
-            )
+            result = self._traced_execute(prepared, trace, started, params)
             total += result.rows_affected
         return total
 
@@ -586,7 +548,6 @@ class Session:
         trace: QueryTrace,
         started: float,
         params: Optional[Mapping[str, Any]],
-        parallelism: Optional[Any],
     ) -> ResultSet:
         """Run *prepared* inside *trace*: time the analyze/plan/execute
         phases, count the statement, and — for a lazy retrieve — arm the
@@ -600,7 +561,7 @@ class Session:
             t_execute = time.perf_counter()
             trace.phase("analyze", t_execute - t_analyze)
             cache = self.result_cache
-            if cache is not None and parallelism is None:
+            if cache is not None:
                 # The key is computed *before* execution: versions are
                 # monotone, so a hit under this key is provably an answer
                 # for the tables' current states (see result_cache docs).
@@ -640,7 +601,7 @@ class Session:
                         self._traces.append(trace)
                         self._check_slow(trace)
                         return result
-            result = compiled.execute(params or {}, parallelism=parallelism)
+            result = compiled.execute(params or {})
             t_done = time.perf_counter()
         except Exception as error:
             self._fail_trace(trace, error, started, kind)
@@ -723,18 +684,6 @@ class Session:
                 node.seconds
             )
             total_blocks += node.actual_blocks
-            partition_stats = getattr(node, "partition_stats", None)
-            if partition_stats:
-                for index, stats in enumerate(partition_stats):
-                    self._shard_rows_metric.labels(partition=str(index)).inc(
-                        stats.get("rows_out", 0)
-                    )
-                    self._shard_seconds_metric.labels(partition=str(index)).inc(
-                        stats.get("seconds", 0.0)
-                    )
-                skew = getattr(node, "skew", None)
-                if skew is not None:
-                    self._skew_metric.set(skew)
             stack.extend(node.children)
         self._exec_rows_metric.inc(root.actual_rows)
         self._exec_blocks_metric.inc(total_blocks)
@@ -744,9 +693,7 @@ class Session:
     ) -> None:
         """The drain-side half of a lazy retrieve's trace (called once by
         the pipeline when it exhausts or latches a failure).  On a clean
-        drain this is also where the answer enters the result cache and
-        where per-step actual/estimated ratios feed the adaptive
-        correction loop."""
+        drain this is also where the answer enters the result cache."""
         if error is not None:
             trace.outcome = "error"
             trace.error = f"{type(error).__name__}: {error}"
@@ -767,10 +714,6 @@ class Session:
                     self._est_error_metric.observe(
                         (node.actual_rows + 1.0) / (step.est + 1.0)
                     )
-                    if step.table is not None:
-                        step.table.statistics.observe_estimate(
-                            node.actual_rows, step.est
-                        )
         trace.plan = pipeline.step_lines()
         if (
             error is None

@@ -35,7 +35,6 @@ are O(1).
 
 from __future__ import annotations
 
-from itertools import chain
 from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
@@ -351,6 +350,11 @@ def bulk_reduce(rows: Iterable[XTuple]) -> List[XTuple]:
     itemgetter applications plus one set probe per row — near-linear for
     the narrow-schema relations of the paper's examples and benchmarks,
     and never the ``2^k``-per-row subset enumeration of the old strategy.
+
+    Reduction only removes dominated rows and dominance is transitive,
+    so for any split ``S = S1 ∪ S2``,
+    ``reduce(reduce(S1) ∪ reduce(S2)) = reduce(S)`` — the reason a
+    reduction may run per partition and be reconciled afterwards.
     """
     # signature -> ([rows], [their value tuples, aligned])
     partitions: Dict[Signature, Tuple[List[XTuple], List[ValueKey]]] = {}
@@ -400,53 +404,3 @@ def bulk_reduce(rows: Iterable[XTuple]) -> List[XTuple]:
                 if values not in dominated_keys
             )
     return result
-
-
-# ---------------------------------------------------------------------------
-# Partition-aware reduction — the entry points a sharded pipeline needs
-# ---------------------------------------------------------------------------
-
-def partition_rows_by_signature(
-    rows: Iterable[XTuple], partitions: int
-) -> List[List[XTuple]]:
-    """Shard *rows* into *partitions* lists, keeping each signature whole.
-
-    The shard of a row is ``hash(signature) % partitions``, so every row
-    carrying the same null pattern lands in the same shard.  A local
-    :func:`bulk_reduce` per shard then eliminates all same-signature
-    duplicates and every dominance *within* a co-sharded signature group;
-    dominance across shards (a wider signature hashed elsewhere) is what
-    :func:`merge_reduced` reconciles.  Correctness never depends on the
-    placement — see :func:`merge_reduced` — the signature sharding only
-    maximises how much reduction the workers can do locally.
-    """
-    if partitions < 1:
-        raise ValueError(f"need at least one partition, got {partitions}")
-    shards: List[List[XTuple]] = [[] for _ in range(partitions)]
-    if partitions == 1:
-        shards[0].extend(rows)
-        return shards
-    for row in rows:
-        shards[hash(row.attributes) % partitions].append(row)
-    return shards
-
-
-def merge_reduced(shards: Iterable[Iterable[XTuple]]) -> List[XTuple]:
-    """Reconcile locally-reduced shards into one global minimal form.
-
-    The key lemma making sharded reduction correct for **any** partition
-    function: reduction only ever *removes* dominated rows, and dominance
-    is transitive, so for any split ``S = S1 ∪ S2``::
-
-        reduce(reduce(S1) ∪ reduce(S2)) = reduce(S1 ∪ S2)
-
-    A row dominated within its own shard is gone locally and would have
-    been gone globally; a row dominated only by a row in another shard
-    still meets its dominator here (local reduction cannot have removed a
-    dominat**or** — only dominated rows are dropped, and the relation is
-    transitive, so some dominator always survives).  This is the final
-    ``Merge`` step of a partitioned pipeline: each worker ships its
-    shard's minimal form, and one :func:`bulk_reduce` over the union
-    restores the global minimal form of Definition 4.6.
-    """
-    return bulk_reduce(chain.from_iterable(shards))

@@ -86,8 +86,8 @@ class XTuple:
         # The stored items are already canonical (sorted, ni-free), so a
         # pickled tuple round-trips through :meth:`_restore` without the
         # validating/normalising ``__init__`` — the payload is one tuple
-        # of pairs, and worker-side reconstruction is three slot writes.
-        # This is what keeps shipping blocks to exchange workers cheap.
+        # of pairs, and reconstruction is three slot writes.  This is
+        # what keeps checkpoints cheap to load.
         return (XTuple._restore, (self._items,))
 
     @classmethod

@@ -30,24 +30,10 @@ The exported surface:
   :func:`render_tree` — the compiled-tree wrapper, the shared step-trace
   rendering, the execute-time stamp that makes an undrained live-index
   probe fail loudly after a mutation, and the ``EXPLAIN (ANALYZE)`` tree
-  formatter;
-* :class:`Exchange` / :class:`Merge` / :class:`PlanFragment` — the
-  parallel partitioned execution layer: the logical ops as a picklable
-  per-partition recipe, the operator that fans it out over worker
-  processes (each building its shard's tree with the same
-  :func:`build_tree`), and the blocking merge that reduces the shard
-  frontier back to global minimal form; :func:`exchange_tree` assembles
-  the three (``Plan.compile(parallelism=N)``).
+  formatter.
 """
 
 from .builder import LogicalOp, build_tree
-from .exchange import (
-    Exchange,
-    Merge,
-    PlanFragment,
-    exchange_tree,
-    partition_rows_by_key,
-)
 from .operators import (
     BLOCK_SIZE,
     Filter,
@@ -69,17 +55,14 @@ __all__ = [
     "BLOCK_SIZE",
     "AppendSink",
     "DeleteSink",
-    "Exchange",
     "Filter",
     "HashJoin",
     "IndexNLJoin",
     "IndexProbe",
     "LogicalOp",
     "Materialize",
-    "Merge",
     "PhysicalOperator",
     "Pipeline",
-    "PlanFragment",
     "Product",
     "Project",
     "Reduce",
@@ -90,7 +73,5 @@ __all__ = [
     "TableScan",
     "TraceStep",
     "build_tree",
-    "exchange_tree",
-    "partition_rows_by_key",
     "render_tree",
 ]

@@ -3,20 +3,14 @@
 :class:`LogicalOp` is the planner's output and the executor's input: one
 estimate-annotated step of the cost-ordered plan, holding nothing but
 picklable values (core predicate AST, attribute names, constants) — an
-index is named by its key attributes, never held as a live object.  The
-same op list therefore serves the coordinator and, shipped inside a
-:class:`~repro.exec.exchange.PlanFragment`, every shard worker.
+index is named by its key attributes, never held as a live object; the
+caller resolves the live index when it compiles.
 
 :func:`build_tree` is the only place logical ops become physical
-operators.  What differs between callers is what they hand it:
-
-* the coordinator passes live table rows and the live indexes the plan
-  named, and gets the bare streaming tree — :class:`IndexProbe` leaves,
-  :class:`IndexNLJoin` probes, first rows out before the inputs are
-  exhausted;
-* a worker passes its shard and no indexes, so every join is a
-  :class:`HashJoin` over the shipped rows and an index-selected range is
-  scanned from the bucket the coordinator already probed.
+operators.  Its caller passes the live table rows and the live indexes
+the plan named, and gets the bare streaming tree — :class:`IndexProbe`
+leaves, :class:`IndexNLJoin` probes, first rows out before the inputs
+are exhausted.
 """
 
 from __future__ import annotations
@@ -98,7 +92,8 @@ def build_tree(
     ``rename`` steps — renaming is fused into the joins).
 
     *sources* maps each range variable to its rows, *indexes* maps a
-    variable to the live index its op names (absent: none in reach),
+    variable to the live index its op names (present for every op that
+    names one),
     *mappings* gives each variable's ``attribute → variable.attribute``
     renaming in declaration order, *start* is the range the combined
     stream begins with.
@@ -143,17 +138,11 @@ def build_tree(
     for op in ops:
         node: Optional[PhysicalOperator] = None
         if op.kind == "index-select":
-            index = indexes.get(op.variable)
-            if index is None:
-                # No live index in reach (a shard worker): the caller
-                # probed the bucket and passed it as this range's rows.
-                node = scan(op.variable)
-            else:
-                node = chains[op.variable] = IndexProbe(
-                    index.lookup, op.probe,
-                    label=f"IndexProbe {op.index_name} ({op.variable})",
-                    est=op.est, block_size=block_size,
-                )
+            node = chains[op.variable] = IndexProbe(
+                indexes[op.variable].lookup, op.probe,
+                label=f"IndexProbe {op.index_name} ({op.variable})",
+                est=op.est, block_size=block_size,
+            )
         elif op.kind == "select":
             node = chains[op.variable] = Filter(
                 scan(op.variable),

@@ -414,8 +414,7 @@ class Reduce(PhysicalOperator):
     is drained first and the minimal rows are re-emitted in blocks.
     The planner's compiled trees defer all reduction to the single final
     materialisation (:meth:`Pipeline.run`), so this operator serves
-    hand-built trees — and is the merge point a sharded (per-partition)
-    pipeline will need.
+    hand-built trees.
     """
 
     def __init__(self, child: PhysicalOperator, **kwargs: Any):

@@ -77,18 +77,13 @@ class TraceStep:
     ``text`` is the step description (``"hash equi-join with d on …"``);
     ``est`` the optimizer's estimate (``None`` for steps that have
     none).  The measured row count is read live from
-    ``node.actual_rows`` when the step's physical operator runs in this
-    process; a step of a parallel plan has no local node, and
-    ``fixed_rows`` is the slot the :class:`~repro.exec.Exchange` audit
-    fills with the count summed over the shard workers once they have
-    drained.  ``show_est`` lets the projection step keep its
-    ``[rows=…]``-only annotation.  ``table`` optionally names
-    the stored table a selection step's estimate was derived from — the
-    adaptive-feedback loop folds that step's actual/estimated ratio back
-    into the table's statistics when the pipeline drains.
+    ``node.actual_rows`` once the step's physical operator has started
+    (``None`` for steps with no operator of their own, such as renames).
+    ``show_est`` lets the projection step keep its ``[rows=…]``-only
+    annotation.
     """
 
-    __slots__ = ("text", "est", "node", "fixed_rows", "show_est", "table")
+    __slots__ = ("text", "est", "node", "show_est")
 
     def __init__(
         self,
@@ -96,19 +91,16 @@ class TraceStep:
         est: Optional[float] = None,
         node: Optional[PhysicalOperator] = None,
         show_est: bool = True,
-        table=None,
     ):
         self.text = text
         self.est = est
         self.node = node
-        self.fixed_rows: Optional[int] = None
         self.show_est = show_est
-        self.table = table
 
     def rows(self) -> Optional[int]:
-        if self.node is not None:
-            return self.node.actual_rows if self.node.started else None
-        return self.fixed_rows
+        if self.node is not None and self.node.started:
+            return self.node.actual_rows
+        return None
 
     def render(self) -> str:
         rows = self.rows()

@@ -21,14 +21,15 @@ the equivalent algebraic strategies with a System-R-style cost model
    through the joins (applied as soon as their ranges are combined),
    project onto the target list.  No rows are touched; the result is a
    list of picklable :class:`~repro.exec.builder.LogicalOp`.
-2. **Compilation** (:meth:`Plan.compile`) hands those ops to the one
-   tree builder, :func:`repro.exec.builder.build_tree` — directly, with
-   the live tables and indexes, for a serial plan; through
-   :func:`repro.exec.exchange.exchange_tree`, as one
-   :class:`~repro.exec.PlanFragment` per shard under an
-   :class:`~repro.exec.Exchange`/:class:`~repro.exec.Merge` pair, for a
-   parallel one.  The tree pulls fixed-size tuple blocks and builds no
-   intermediate :class:`~repro.core.xrelation.XRelation`.
+2. **Compilation** (:meth:`Plan.compile`) hands those ops, the live
+   tables and the live indexes to the one tree builder,
+   :func:`repro.exec.builder.build_tree`.  The tree pulls fixed-size
+   tuple blocks and builds no intermediate
+   :class:`~repro.core.xrelation.XRelation`.
+
+Estimates come from the tables' statistics alone, so a plan depends on
+the data and the physical design, never on what earlier executions
+observed.
 
 Every step is annotated with the optimizer's estimated and the measured
 row count (``est=…, rows=…``), so ``Plan.explain()`` doubles as a
@@ -43,19 +44,18 @@ differential harness in ``tests/test_differential_planner.py``).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.errors import StaleResultError
 from ..core.query import AttributeRef, Comparison, Predicate, Query
 from ..core.relation import Relation
 from ..core.xrelation import XRelation
 from ..exec.builder import LogicalOp, build_tree, join_on_text
-from ..exec.exchange import exchange_tree
 from ..exec.operators import BLOCK_SIZE, IndexNLJoin, PhysicalOperator
 from ..exec.pipeline import Pipeline, StalenessGuard, TraceStep
 from ..exec.predicates import pair_predicate
 from ..obs import registry_for
-from ..stats import DEFAULT_COST_MODEL, TableStatistics, suggest_parallelism
+from ..stats import DEFAULT_COST_MODEL, TableStatistics
 from .conjuncts import (
     conjoin,
     constant_parts,
@@ -69,9 +69,6 @@ from .conjuncts import (
 #: Above this many ranges the Selinger-style DP join enumeration (2^n
 #: subset states) yields to the greedy order.
 DP_JOIN_THRESHOLD = 10
-
-#: Step kinds whose estimate derives from one stored table's statistics.
-_SELECTION_KINDS = ("index-select", "select", "select-var-residual")
 
 
 class _RangeContext:
@@ -115,18 +112,12 @@ class _RangeContext:
     def null_fraction(self, attribute: str) -> float:
         return self.stats().null_fraction(attribute)
 
-    def correction(self) -> float:
-        """The table's adaptive estimate-correction factor (1.0 when the
-        range is ad hoc, carries no feedback, or the factor is reset)."""
-        return getattr(self.stats(), "correction", 1.0)
-
 
 def _plan_metric_handles(registry) -> Dict[str, Any]:
     """The planner's counters in *registry*, one child per label value."""
     plans = registry.counter(
         "repro_plans_total",
         "Streaming pipelines compiled by the cost-based planner.",
-        ("mode",),
     )
     choices = registry.counter(
         "repro_plan_join_choices_total",
@@ -135,8 +126,7 @@ def _plan_metric_handles(registry) -> Dict[str, Any]:
         ("strategy",),
     )
     return {
-        "serial": plans.labels(mode="serial"),
-        "parallel": plans.labels(mode="parallel"),
+        "plans": plans.labels(),
         "index_nl": choices.labels(strategy="index_nl"),
         "hash": choices.labels(strategy="hash"),
         "product": choices.labels(strategy="product"),
@@ -158,15 +148,6 @@ class Plan:
         per-range statistics are computed on the fly.
     block_size:
         Tuples per block exchanged between operators.
-    parallelism:
-        The default partition count for :meth:`compile`.  ``None``/``0``
-        (the default) and ``1`` compile the plain serial tree; ``N >= 2``
-        compiles an :class:`~repro.exec.Exchange`/:class:`~repro.exec.Merge`
-        pair running ``N`` per-partition plan fragments in worker
-        processes; ``"auto"`` asks
-        :func:`repro.stats.suggest_parallelism` — serial below ~50k
-        estimated input rows or when :mod:`multiprocessing` is unusable,
-        CPU-count-capped otherwise.
     """
 
     def __init__(
@@ -175,12 +156,10 @@ class Plan:
         database=None,
         *,
         block_size: int = BLOCK_SIZE,
-        parallelism: Optional[Union[int, str]] = None,
     ):
         self.query = query
         self.database = database
         self.block_size = block_size
-        self.parallelism = parallelism
         self.steps: List[str] = []
         #: The last compiled pipeline (set by :meth:`compile`).
         self.pipeline: Optional[Pipeline] = None
@@ -258,12 +237,11 @@ class Plan:
             for conjunct in conjuncts:
                 attribute, op, constant = constant_parts(conjunct)
                 # The constant's value lets a fresh ANALYZE-built
-                # histogram replace the 1/3 range guess; the table's
-                # adaptive correction folds observed misestimates in.
+                # histogram replace the 1/3 range guess.
                 estimate = model.estimate_selection(
                     context.stats(), attribute, op, cardinality=context.est,
                     value=constant,
-                ) * context.correction()
+                )
                 context.est = estimate
                 context.filtered = True
                 ops.append(LogicalOp(
@@ -273,10 +251,7 @@ class Plan:
         for variable, conjuncts in single_variable.items():
             context = contexts[variable]
             for conjunct in conjuncts:
-                estimate = (
-                    context.est * _residual_factor(conjunct)
-                    * context.correction()
-                )
+                estimate = context.est * _residual_factor(conjunct)
                 context.est = estimate
                 context.filtered = True
                 ops.append(LogicalOp(
@@ -399,7 +374,6 @@ class Plan:
             estimate = DEFAULT_COST_MODEL.estimate_selection(
                 context.stats(), attribute, op, cardinality=estimate
             )
-        estimate *= context.correction()
         described = " and ".join(
             f"{context.variable}.{a} = {by_attr[a][1]!r}" for a in index.attributes
         )
@@ -596,22 +570,17 @@ class Plan:
         raise ValueError(f"unknown logical op kind {op.kind!r}")
 
     # -- compilation (logical plan → operator tree, via the one builder) -----
-    def compile(self, parallelism: Optional[Union[int, str]] = None) -> Pipeline:
+    def compile(self) -> Pipeline:
         """Compile the logical plan into a fresh single-use pipeline.
 
-        Serial (a resolved partition count of 1): the bare streaming
-        tree over the live tables and indexes — first rows arrive before
-        the inputs are exhausted, and the single materialisation happens
-        when the :class:`~repro.exec.pipeline.Pipeline` is drained.
-        *parallelism* overrides the constructor default; with 2 or more
-        partitions the same ops run as per-shard fragments under an
-        :class:`~repro.exec.Exchange`/:class:`~repro.exec.Merge` pair
-        (``1`` — explicit or resolved from ``"auto"`` — is the serial
-        tree, block for block).  The logical plan is computed once.
+        The bare streaming tree over the live tables and indexes — first
+        rows arrive before the inputs are exhausted, and the single
+        materialisation happens when the
+        :class:`~repro.exec.pipeline.Pipeline` is drained.  The logical
+        plan is computed once.
         """
         ops = self.logical_plan()
         contexts = self._plan_contexts
-        partitions = self._resolve_parallelism(parallelism)
         mappings = {v: context.mapping for v, context in contexts.items()}
         indexes = {}
         for op in ops:
@@ -623,14 +592,14 @@ class Plan:
                         f"query was planned; plan it again"
                     )
                 indexes[op.variable] = index
-        if partitions <= 1:
-            sources = {v: context.relation.tuples() for v, context in contexts.items()}
-            root, nodes = build_tree(
-                ops, sources, indexes, mappings, self._start, self.block_size
-            )
-        else:
-            nodes = [None] * len(ops)  # built later, inside the shard workers
-        trace = self._trace(ops, nodes)
+        sources = {v: context.relation.tuples() for v, context in contexts.items()}
+        root, nodes = build_tree(
+            ops, sources, indexes, mappings, self._start, self.block_size
+        )
+        trace = [
+            TraceStep(self._step_text(op), est=op.est, node=node)
+            for op, node in zip(ops, nodes)
+        ]
         # One staleness stamp per table the tree probes *live* (the inner
         # side of every index-nested-loop join); every other leaf
         # snapshots its rows now and needs no guard.
@@ -638,64 +607,20 @@ class Plan:
             StalenessGuard(contexts[op.variable].table)
             for op, node in zip(ops, nodes) if isinstance(node, IndexNLJoin)
         ]
-        if partitions > 1:
-            # Workers are shared-nothing and their fragments are built
-            # only when the tree drains, so every range is resolved and
-            # snapshotted here: an index-selected range ships its probed
-            # bucket, every other range its rows.
-            probes = {
-                op.variable: op.probe for op in ops if op.kind == "index-select"
-            }
-            sources = {
-                v: list(
-                    indexes[v].lookup(probes[v]) if v in probes
-                    else context.relation.tuples()
-                )
-                for v, context in contexts.items()
-            }
-            root, scheme = exchange_tree(
-                ops, sources, mappings, self._start, partitions,
-                self.block_size, trace_steps=trace,
-            )
-            trace.append(TraceStep(
-                f"exchange over {partitions} partitions ({scheme})",
-                node=root.child,
-            ))
-            trace.append(TraceStep("merge + reduce the shard frontier", node=root))
-        self._record_plan_metrics(partitions, nodes)
+        self._record_plan_metrics(nodes)
         self.pipeline = Pipeline(
             root, self.query.output_schema(), trace, guards=guards
         )
         return self.pipeline
 
-    def _trace(
-        self, ops: Sequence[LogicalOp], nodes: Sequence[Optional[PhysicalOperator]]
-    ) -> List[TraceStep]:
-        """One trace step per op, reading its measured rows from *node*
-        (``None``: the op runs in shard workers and the Exchange audit
-        fills the count in).  A selection step names its stored table,
-        so the adaptive-feedback loop knows whose estimate it audits."""
-        contexts = self._plan_contexts
-        return [
-            TraceStep(
-                self._step_text(op), est=op.est, node=node,
-                table=(
-                    contexts[op.variable].table
-                    if op.kind in _SELECTION_KINDS else None
-                ),
-            )
-            for op, node in zip(ops, nodes)
-        ]
-
     def _record_plan_metrics(
-        self, partitions: int, nodes: Sequence[Optional[PhysicalOperator]]
+        self, nodes: Sequence[Optional[PhysicalOperator]]
     ) -> None:
         """Count this compilation and its physical join choices in the
         database's metrics registry (one bump per compiled pipeline).
 
         The strategy is read off the operator the builder constructed
-        for each combine step; a parallel compile builds none here (its
-        fragments get no indexes, so their joins are hash joins).
+        for each combine step.
 
         A ``Plan`` lives for one execution, so the label children are
         resolved once per *registry* (:func:`_plan_metric_handles`) — the
@@ -703,38 +628,12 @@ class Plan:
         statements inside E21's 5% overhead gate.
         """
         handles = registry_for(self.database).handles("planner", _plan_metric_handles)
-        handles["parallel" if partitions > 1 else "serial"].inc()
+        handles["plans"].inc()
         for op, node in zip(self.logical_plan(), nodes):
             if op.kind == "join":
                 handles["index_nl" if isinstance(node, IndexNLJoin) else "hash"].inc()
             elif op.kind == "product":
                 handles["product"].inc()
-
-    def _resolve_parallelism(
-        self, parallelism: Optional[Union[int, str]]
-    ) -> int:
-        """Turn a ``parallelism`` value into a partition count.
-
-        ``None`` defers to the constructor's setting; ``None``/``0``
-        there means serial.  ``"auto"`` consults
-        :func:`repro.stats.suggest_parallelism` with the sum of the
-        per-range statistics row counts — the rows the pipeline will pull
-        through its leaves — so the decision touches no rows.
-        """
-        if parallelism is None:
-            parallelism = self.parallelism
-        if parallelism is None or parallelism == 0:
-            return 1
-        if parallelism == "auto":
-            self.logical_plan()  # populates the per-range contexts
-            return suggest_parallelism(float(sum(
-                context.stats().row_count
-                for context in self._plan_contexts.values()
-            )))
-        count = int(parallelism)
-        if count < 1:
-            raise ValueError(f"parallelism must be >= 1, got {count}")
-        return count
 
 
 # ---------------------------------------------------------------------------

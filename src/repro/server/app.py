@@ -79,7 +79,11 @@ def status_for(error: BaseException) -> Tuple[int, bool]:
     ``StaleResultError`` is the one *retriable* conflict: the statement
     was valid, the undrained result just raced a writer — re-execute and
     it succeeds.  A constraint violation is a conflict that will repeat.
+    A :class:`ProtocolError` — a request the server cannot read — is the
+    client's fault.
     """
+    if isinstance(error, ProtocolError):
+        return 400, False
     if isinstance(error, StaleResultError):
         return 409, True
     if isinstance(error, ConstraintViolation):
@@ -454,11 +458,9 @@ class ReproServer:
                 status, payload, extra = await handler(
                     connection, request, argument
                 )
-            except ProtocolError as error:
-                status, payload, extra = 400, error_payload(error), ()
-            except Exception as error:  # engine errors → taxonomy mapping
-                status, _retriable = status_for(error)
+            except Exception as error:  # protocol and engine errors → taxonomy
                 payload, extra = error_payload(error), ()
+                status = payload["status"]
             if isinstance(payload, bytes):
                 await write_response(
                     writer,

@@ -10,10 +10,12 @@ unbound ones, and decoding turns ``null`` parameter values back into
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
 
 from ..core.nulls import NI, is_ni
 from ..core.tuples import XTuple
+from .http import ProtocolError
 
 __all__ = ["row_to_json", "rows_to_json", "decode_params"]
 
@@ -38,12 +40,26 @@ def rows_to_json(
 
 
 def decode_params(raw: Optional[Mapping[str, Any]]) -> Dict[str, Any]:
-    """Wire parameters → engine parameters (``null`` → ``NI``)."""
+    """Wire parameters → engine parameters (``null`` → ``NI``).
+
+    A parameter is a scalar: a string, a finite number, a boolean or
+    ``null``.  Objects, arrays, ``NaN`` and ``Infinity`` are refused
+    here, naming the parameter, before they reach the engine.
+    """
     if not raw:
         return {}
     if not isinstance(raw, Mapping):
-        raise ValueError(f"params must be a JSON object, got {type(raw).__name__}")
-    return {
-        str(name): (NI if value is None else value)
-        for name, value in raw.items()
-    }
+        raise ProtocolError(f"params must be a JSON object, got {type(raw).__name__}")
+    params = {}
+    for name, value in raw.items():
+        if value is None:
+            value = NI
+        elif not isinstance(value, (str, int, float)) or (
+            isinstance(value, float) and not math.isfinite(value)
+        ):
+            raise ProtocolError(
+                f"parameter ${name} must be a string, a finite number, a "
+                f"boolean or null"
+            )
+        params[str(name)] = value
+    return params

@@ -75,14 +75,20 @@ class HttpRequest:
         self.headers = headers
         self.body = body
 
-    def json(self) -> Any:
-        """The body decoded as JSON (an empty body is an empty object)."""
+    def json(self) -> Dict[str, Any]:
+        """The body decoded as a JSON object (an empty body is an empty
+        object); anything else is a :class:`ProtocolError`."""
         if not self.body:
             return {}
         try:
-            return json.loads(self.body)
+            body = json.loads(self.body)
         except ValueError as error:
             raise ProtocolError(f"request body is not valid JSON: {error}")
+        if not isinstance(body, dict):
+            raise ProtocolError(
+                f"request body must be a JSON object, got {type(body).__name__}"
+            )
+        return body
 
     @property
     def keep_alive(self) -> bool:

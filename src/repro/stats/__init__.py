@@ -6,10 +6,9 @@ algebraic strategy, however, needs to *choose* between equivalent plans.
 This package supplies the choosing machinery, System-R style:
 
 ``repro.stats.statistics``
-    :class:`TableStatistics` — per-table row counts, per-attribute
-    distinct-value and null counts, and a signature (null-pattern)
-    histogram, maintained incrementally through every
-    :class:`~repro.storage.table.Table` mutation path with an
+    :class:`TableStatistics` — per-table row counts and per-attribute
+    distinct-value and null counts, maintained incrementally through
+    every :class:`~repro.storage.table.Table` mutation path with an
     :meth:`~TableStatistics.analyze` full-refresh fallback.
 ``repro.stats.cost``
     :class:`CostModel` — selectivity and cardinality estimation over
@@ -23,26 +22,14 @@ This package supplies the choosing machinery, System-R style:
     and ``!=`` selectivities off them instead of the 1/3 constant while
     the owning statistics stay fresh.
 
-``repro.stats.parallel``
-    :func:`suggest_parallelism` — the auto heuristic behind
-    ``Plan.compile(parallelism="auto")``: parallelise only above a
-    ~50k-estimated-row threshold, cap by CPU count, fall back to serial
-    when :mod:`multiprocessing` is unusable.
-
-The QUEL planner (:mod:`repro.quel.planner`) consumes both to order
+The QUEL planner (:mod:`repro.quel.planner`) consumes these to order
 joins by estimated cardinality and to decide when probing a persistent
 :class:`~repro.storage.index.HashIndex` beats rebuilding hash buckets.
 """
 
-from .statistics import CORRECTION_BOUND, TableStatistics
+from .statistics import TableStatistics
 from .cost import CostModel, DEFAULT_COST_MODEL
 from .histogram import DEFAULT_BUCKETS, EquiDepthHistogram
-from .parallel import (
-    DEFAULT_MAX_WORKERS,
-    PARALLEL_ROW_THRESHOLD,
-    multiprocessing_available,
-    suggest_parallelism,
-)
 
 __all__ = [
     "TableStatistics",
@@ -50,9 +37,4 @@ __all__ = [
     "DEFAULT_COST_MODEL",
     "EquiDepthHistogram",
     "DEFAULT_BUCKETS",
-    "CORRECTION_BOUND",
-    "DEFAULT_MAX_WORKERS",
-    "PARALLEL_ROW_THRESHOLD",
-    "multiprocessing_available",
-    "suggest_parallelism",
 ]

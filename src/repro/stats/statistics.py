@@ -7,11 +7,11 @@
 * per attribute, the **non-null count** (and hence the null count — in
   the canonical tuple form a row is null on an attribute exactly when it
   does not bind it) and the **distinct-value count**, backed by an exact
-  value→multiplicity counter;
-* the **signature histogram**: how many rows carry each null pattern
-  (the same partitioning the dominance engine uses), which is what lets
-  a cost model reason about how much of a table is invisible to an
-  equality probe on a given attribute set.
+  value→multiplicity counter.
+
+How many rows carry each null pattern is not counted here: a table's
+:class:`~repro.core.engine.dominance.DominanceIndex` partitions already
+hold exactly those rows.
 
 Maintenance is *exact and incremental*: the storage layer's one write
 primitive (:meth:`Table.apply_delta`) feeds :meth:`remove_rows` /
@@ -31,17 +31,10 @@ the underlying relation).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Mapping, Tuple
+from typing import Any, Dict, Iterable
 
 from ..core.tuples import XTuple
 from .histogram import EquiDepthHistogram
-
-#: A signature: the sorted attribute tuple a row binds (``XTuple.attributes``).
-Signature = Tuple[str, ...]
-
-#: Bounds on the adaptive correction factor — one observed execution can
-#: never swing the estimate by more than this factor in either direction.
-CORRECTION_BOUND = 16.0
 
 #: Incremental deltas tolerated before :attr:`TableStatistics.stale` trips.
 DEFAULT_STALENESS_THRESHOLD = 256
@@ -52,19 +45,17 @@ class TableStatistics:
 
     The public read surface — :attr:`row_count`, :meth:`distinct_count`,
     :meth:`null_count`, :meth:`non_null_count`, :meth:`null_fraction`,
-    :meth:`signature_histogram` — is what the cost model consumes; the
-    mutation surface mirrors the storage layer's bulk entry points.
+    :meth:`histogram` — is what the cost model consumes; the mutation
+    surface mirrors the storage layer's bulk entry points.
     """
 
     __slots__ = (
         "row_count",
         "_values",
         "_non_null",
-        "_signatures",
         "staleness_threshold",
         "mutations_since_analyze",
         "_histograms",
-        "correction",
     )
 
     def __init__(
@@ -77,20 +68,22 @@ class TableStatistics:
         self._values: Dict[str, Dict[Any, int]] = {}
         # attribute -> number of rows binding it
         self._non_null: Dict[str, int] = {}
-        # signature -> number of rows carrying it
-        self._signatures: Dict[Signature, int] = {}
         self.staleness_threshold = staleness_threshold
         self.mutations_since_analyze = 0
         # attribute -> equi-depth histogram of its non-null values, built
         # by analyze() and trusted only while the staleness counter holds.
         self._histograms: Dict[str, EquiDepthHistogram] = {}
-        #: Adaptive correction factor: actual/estimated row ratios observed
-        #: by drained executions fold in here (bounded, see
-        #: :meth:`observe_estimate`) and scale the next plan's selection
-        #: estimates for this table.  1.0 = no observed bias.
-        self.correction = 1.0
         if rows:
             self.analyze(rows)
+
+    def __setstate__(self, state) -> None:
+        """Unpickle, skipping slots this class no longer has: statistics
+        pickled into older checkpoints and ``load`` records also carry
+        ``correction`` and ``_signatures``."""
+        _, slots = state
+        for name, value in slots.items():
+            if name in TableStatistics.__slots__:
+                setattr(self, name, value)
 
     # -- incremental maintenance -------------------------------------------
     def add_rows(self, rows: Iterable[XTuple]) -> None:
@@ -116,17 +109,14 @@ class TableStatistics:
         self.row_count = 0
         self._values.clear()
         self._non_null.clear()
-        self._signatures.clear()
         self._histograms.clear()
-        self.correction = 1.0
         self.mutations_since_analyze = 0
 
     def analyze(self, rows: Iterable[XTuple]) -> "TableStatistics":
         """Full refresh: recount everything from *rows*, resetting staleness.
 
         A full scan also (re)builds the per-attribute equi-depth
-        histograms and forgets any adaptive correction — fresh exact
-        statistics supersede feedback accumulated against stale ones.
+        histograms.
         """
         self.clear()
         for row in rows:
@@ -141,12 +131,9 @@ class TableStatistics:
     # -- counting plumbing ---------------------------------------------------
     def _count(self, row: XTuple) -> None:
         self.row_count += 1
-        items = row.items()
-        signature = tuple(attribute for attribute, _ in items)
-        self._signatures[signature] = self._signatures.get(signature, 0) + 1
         values = self._values
         non_null = self._non_null
-        for attribute, value in items:
+        for attribute, value in row.items():
             counter = values.get(attribute)
             if counter is None:
                 counter = values[attribute] = {}
@@ -155,16 +142,9 @@ class TableStatistics:
 
     def _discount(self, row: XTuple) -> None:
         self.row_count -= 1
-        items = row.items()
-        signature = tuple(attribute for attribute, _ in items)
-        remaining = self._signatures.get(signature, 0) - 1
-        if remaining > 0:
-            self._signatures[signature] = remaining
-        else:
-            self._signatures.pop(signature, None)
         values = self._values
         non_null = self._non_null
-        for attribute, value in items:
+        for attribute, value in row.items():
             counter = values.get(attribute)
             if counter is not None:
                 left = counter.get(value, 0) - 1
@@ -190,11 +170,9 @@ class TableStatistics:
         dup.row_count = self.row_count
         dup._values = {a: dict(counter) for a, counter in self._values.items()}
         dup._non_null = dict(self._non_null)
-        dup._signatures = dict(self._signatures)
         dup.mutations_since_analyze = self.mutations_since_analyze
         # Histograms are immutable once built; sharing them is safe.
         dup._histograms = dict(self._histograms)
-        dup.correction = self.correction
         return dup
 
     def restore_from(self, other: "TableStatistics") -> None:
@@ -208,11 +186,9 @@ class TableStatistics:
         self.row_count = other.row_count
         self._values = {a: dict(counter) for a, counter in other._values.items()}
         self._non_null = dict(other._non_null)
-        self._signatures = dict(other._signatures)
         self.staleness_threshold = other.staleness_threshold
         self.mutations_since_analyze = other.mutations_since_analyze
         self._histograms = dict(other._histograms)
-        self.correction = other.correction
 
     # -- read surface ---------------------------------------------------------
     def distinct_count(self, attribute: str) -> int:
@@ -234,10 +210,6 @@ class TableStatistics:
             return 0.0
         return self.null_count(attribute) / self.row_count
 
-    def signature_histogram(self) -> Dict[Signature, int]:
-        """Null-pattern histogram: signature → number of rows carrying it."""
-        return dict(self._signatures)
-
     def histogram(self, attribute: str) -> "EquiDepthHistogram | None":
         """The attribute's ANALYZE-built equi-depth histogram, or ``None``.
 
@@ -251,24 +223,6 @@ class TableStatistics:
         if self.stale:
             return None
         return self._histograms.get(attribute)
-
-    def observe_estimate(self, actual: float, estimated: float) -> float:
-        """Fold one observed actual/estimated row ratio into the bounded
-        adaptive correction factor, returning the new factor.
-
-        The half-power step (``correction *= ratio**0.5``) converges
-        geometrically onto a persistent bias without oscillating on
-        one-off outliers; the factor is clamped to
-        ``[1/CORRECTION_BOUND, CORRECTION_BOUND]``.  The ratio is
-        computed with +1 smoothing so empty actuals/estimates stay
-        finite.  Because recorded estimates already *include* the current
-        correction, a corrected-to-truth model observes ratio ≈ 1 and the
-        factor stops moving.
-        """
-        ratio = (float(actual) + 1.0) / (float(estimated) + 1.0)
-        corrected = self.correction * (ratio ** 0.5)
-        self.correction = min(CORRECTION_BOUND, max(1.0 / CORRECTION_BOUND, corrected))
-        return self.correction
 
     @property
     def stale(self) -> bool:
@@ -285,7 +239,6 @@ class TableStatistics:
             self.row_count == other.row_count
             and self._values == other._values
             and self._non_null == other._non_null
-            and self._signatures == other._signatures
         )
 
     def __eq__(self, other: Any) -> bool:
@@ -299,6 +252,5 @@ class TableStatistics:
         return (
             f"TableStatistics(rows={self.row_count}, "
             f"attributes={sorted(self._non_null)}, "
-            f"signatures={len(self._signatures)}, "
             f"stale={self.stale})"
         )

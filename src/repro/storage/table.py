@@ -94,7 +94,7 @@ class Table:
         # mutation path; powers x-membership probes and (4.8) deletion
         # without scanning the table.
         self.dominance = DominanceIndex()
-        # Live statistics (row/distinct/null counts, signature histogram),
+        # Live statistics (row/distinct/null counts, histograms),
         # maintained through the same mutation paths; the cost-based
         # planner reads them instead of scanning the table per query.
         self.statistics = TableStatistics()

@@ -56,16 +56,3 @@ def emp_db():
 def ps_db():
     """The paper's parts-suppliers database."""
     return parts_suppliers_database()
-
-
-@pytest.fixture
-def no_multiprocessing(monkeypatch):
-    """Make worker processes unavailable to :class:`repro.exec.Exchange`,
-    as on a platform without :mod:`multiprocessing`: parallel plans then
-    run their fragments through the exchange's in-process fallback — the
-    same worker code, minus the process shipping."""
-
-    def unavailable():
-        raise OSError("multiprocessing is unavailable (test fixture)")
-
-    monkeypatch.setattr("repro.exec.exchange._fork_context", unavailable)

@@ -17,7 +17,7 @@ All tests run derandomized (seeded) so CI failures reproduce exactly.
 
 from __future__ import annotations
 
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.core.errors import QuelSemanticError
 from repro.core.query import (
@@ -265,7 +265,7 @@ def test_index_backed_plans_agree_with_oracle(database, text):
 
 
 # ---------------------------------------------------------------------------
-# The operator tree ≡ tuple oracle: block sizes, ANALYZE states, partitions
+# The operator tree ≡ tuple oracle: block sizes and ANALYZE states
 # ---------------------------------------------------------------------------
 
 def compile_text(text, database):
@@ -289,41 +289,6 @@ def test_operator_tree_matches_oracle(database, text, analyzed, block_size):
         assume(False)
     query = compile_text(text, database)
     assert Plan(query, database, block_size=block_size).execute() == tuple_answer
-
-
-@settings(
-    max_examples=60, deadline=None, derandomize=True,
-    # The fixture patches one module attribute for the whole test; no
-    # example changes it, so sharing it across examples is sound.
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
-@given(
-    indexed_databases(),
-    quel_texts(),
-    st.sampled_from((1, 2, 3, 4)),
-    st.sampled_from((2, 7, 256)),
-)
-def test_parallel_matches_serial_and_oracle(
-    no_multiprocessing, database, text, partitions, block_size
-):
-    """Partitioned Exchange/Merge execution is a pure strategy change:
-    over random schemas, indexes, partition counts 1–4 and block sizes,
-    the parallel pipeline must stay information-wise identical to the
-    serial tree and the tuple oracle.  Fragments run through the
-    exchange's in-process fallback — byte-identical worker code, minus
-    the process shipping the dedicated process tests cover — so the
-    fuzz loop stays fast."""
-    try:
-        tuple_answer = run_query(text, database, strategy="tuple").answer
-    except QuelSemanticError:
-        assume(False)
-    query = compile_text(text, database)
-    serial = Plan(query, database, block_size=block_size).execute()
-    parallel = Plan(
-        query, database, block_size=block_size, parallelism=partitions
-    ).execute()
-    assert serial == tuple_answer
-    assert parallel == tuple_answer
 
 
 @st.composite
@@ -381,51 +346,10 @@ def test_step_counts_match_tree_actuals_and_oracle_on_total_rows(database, text)
 
 
 # ---------------------------------------------------------------------------
-# Optimizer v2: adaptive feedback and the semantic result cache never
-# change answers (DP enumeration is what every plan above already ran; the
-# greedy fallback is pinned in tests/test_planner_explain.py)
+# Optimizer v2: the semantic result cache never changes answers (DP
+# enumeration is what every plan above already ran; the greedy fallback is
+# pinned in tests/test_planner_explain.py)
 # ---------------------------------------------------------------------------
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(
-    indexed_databases(),
-    quel_texts(),
-    st.lists(
-        st.floats(min_value=1.0 / 16.0, max_value=16.0, allow_nan=False),
-        min_size=2, max_size=2,
-    ),
-)
-def test_feedback_corrected_plans_agree_with_oracle(database, text, factors):
-    """Adaptive correction factors scale estimates — they may flip join
-    orders and access paths, but never the answer."""
-    for factor, name in zip(factors, ("R1", "R2")):
-        database.catalog.table(name).statistics.correction = factor
-    try:
-        tuple_answer = run_query(text, database, strategy="tuple").answer
-    except QuelSemanticError:
-        assume(False)
-    query = compile_text(text, database)
-    assert Plan(query, database).execute() == tuple_answer
-
-
-@settings(max_examples=30, deadline=None, derandomize=True)
-@given(indexed_databases(), quel_texts())
-def test_session_feedback_loop_preserves_answers(database, text):
-    """Executing through a session folds real actual/estimated ratios
-    into the tables' corrections after every drain; forced re-planning
-    under those live corrections keeps every repeat identical to the
-    oracle."""
-    from repro.api.session import Session
-
-    try:
-        tuple_answer = run_query(text, database, strategy="tuple").answer
-    except QuelSemanticError:
-        assume(False)
-    session = Session(database, result_cache_size=0)
-    for _ in range(3):
-        assert session.execute(text).to_relation() == tuple_answer
-        session.clear_statement_cache()  # re-plan under folded corrections
-
 
 @st.composite
 def interleaved_mutations(draw):

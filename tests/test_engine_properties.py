@@ -5,7 +5,8 @@ definitional forms it replaced, over randomized relations of varying
 schema width and null fraction:
 
 * :func:`repro.core.engine.bulk_reduce` (behind ``Relation.minimal`` /
-  ``reduce_rows``) ≡ :func:`repro.core.minimal.reduce_rows_naive`;
+  ``reduce_rows``) ≡ :func:`repro.core.minimal.reduce_rows_naive`, and
+  reducing the reduced parts of any split ≡ reducing the whole;
 * :func:`repro.core.setops.difference` ≡ the nested-loop (4.8) form
   :func:`repro.core.setops.difference_naive`;
 * :func:`repro.core.setops.x_intersection` ≡ the full-meet-product (4.7)
@@ -91,6 +92,18 @@ class TestMinimalFormAgreement:
     @given(st.lists(xtuples(), max_size=20))
     def test_dispatcher_matches_naive(self, rows):
         assert set(reduce_rows(rows)) == set(reduce_rows_naive(rows))
+
+    @given(st.lists(st.tuples(xtuples(), st.integers(min_value=0, max_value=3)),
+                    max_size=24))
+    def test_reducing_reduced_parts_equals_reducing_the_whole(self, placed):
+        """The partition lemma of Definition 4.6's minimal form: reduction
+        only removes dominated rows and dominance is transitive, so for
+        any split ``S = S1 ∪ … ∪ Sk``,
+        ``reduce(reduce(S1) ∪ … ∪ reduce(Sk)) = reduce(S)``."""
+        rows = [row for row, _ in placed]
+        parts = [[row for row, part in placed if part == p] for p in range(4)]
+        merged = [row for part in parts for row in bulk_reduce(part)]
+        assert set(bulk_reduce(merged)) == set(bulk_reduce(rows))
 
     @given(relations())
     def test_minimal_relation_is_minimal_and_equivalent(self, relation):

@@ -4,9 +4,8 @@ Covers the equi-depth histograms (``repro.stats.histogram``): the
 construction invariants (depths within one row of each other, sorted
 bucket boundaries, full-domain range selectivity ≈ 1), the cost model's
 data-driven range/``!=`` estimates on degenerate distributions (empty,
-all-null, single-value), the bounded adaptive correction factor, and
-the persistence of both through snapshot/restore and WAL checkpoint
-recovery.
+all-null, single-value), and the histograms' persistence through
+snapshot/restore and WAL checkpoint recovery.
 """
 
 from __future__ import annotations
@@ -18,13 +17,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.tuples import XTuple
 from repro.stats import (
-    CORRECTION_BOUND,
     CostModel,
     DEFAULT_BUCKETS,
     EquiDepthHistogram,
     TableStatistics,
 )
 from repro.storage.database import Database
+from repro.storage.wal import CHECKPOINT_NAME
 
 
 def rows(*specs):
@@ -168,39 +167,6 @@ class TestCostModelDegenerateDistributions:
         ) == pytest.approx((31 / 31) * self.model.theta_selectivity)
 
 
-class TestAdaptiveCorrection:
-    def test_correction_moves_toward_ratio_and_is_bounded(self):
-        stats = TableStatistics(rows({"A": 1}))
-        assert stats.correction == 1.0
-        # Persistent 10x underestimates pull the correction up...
-        for _ in range(20):
-            stats.observe_estimate(actual=1000, estimated=100)
-        assert 1.0 < stats.correction <= CORRECTION_BOUND
-        # ...but never past the bound, in either direction.
-        for _ in range(200):
-            stats.observe_estimate(actual=1_000_000, estimated=1)
-        assert stats.correction == CORRECTION_BOUND
-        for _ in range(200):
-            stats.observe_estimate(actual=0, estimated=1_000_000)
-        assert stats.correction == pytest.approx(1.0 / CORRECTION_BOUND)
-
-    def test_accurate_estimates_leave_correction_alone(self):
-        stats = TableStatistics(rows({"A": 1}))
-        for _ in range(50):
-            stats.observe_estimate(actual=500, estimated=500)
-        assert stats.correction == pytest.approx(1.0)
-
-    def test_analyze_and_clear_reset_correction(self):
-        stats = TableStatistics(rows({"A": 1}, {"A": 2}))
-        stats.observe_estimate(actual=1000, estimated=1)
-        assert stats.correction > 1.0
-        stats.analyze(rows({"A": 1}, {"A": 2}))
-        assert stats.correction == 1.0
-        stats.observe_estimate(actual=1000, estimated=1)
-        stats.clear()
-        assert stats.correction == 1.0
-
-
 class TestPersistenceRoundTrips:
     def make_database(self, name="histdb"):
         database = Database(name)
@@ -211,42 +177,36 @@ class TestPersistenceRoundTrips:
         database.analyze()
         return database
 
-    def test_snapshot_restore_preserves_histograms_and_correction(self):
+    def test_snapshot_restore_preserves_histograms(self):
         database = self.make_database()
         table = database.catalog.table("T")
-        table.statistics.observe_estimate(actual=900, estimated=100)
         before_histogram = table.statistics.histogram("A")
-        before_correction = table.statistics.correction
         assert before_histogram is not None
         snapshot = database.snapshot()
         table.insert_many([(999, 999)] * 5)
         database.restore(snapshot)
         restored = database.catalog.table("T").statistics
         assert restored.histogram("A") == before_histogram
-        assert restored.correction == pytest.approx(before_correction)
 
     def test_statistics_copy_round_trips_histograms(self):
         stats = TableStatistics(rows(*({"A": i % 9, "B": i} for i in range(100))))
-        stats.observe_estimate(actual=50, estimated=5)
         dup = stats.copy()
         assert dup.histogram("A") == stats.histogram("A")
         assert dup.histogram("B") == stats.histogram("B")
-        assert dup.correction == stats.correction
         # The copy is independent: re-analyzing it leaves the original.
+        before = stats.histogram("A")
+        assert before is not None
         dup.analyze(rows({"A": 1}))
-        assert dup.correction == 1.0
-        assert stats.correction != 1.0
-        assert stats.histogram("A") is not None
+        assert dup.histogram("A") != before
+        assert stats.histogram("A") == before
 
-    def test_checkpoint_recovery_preserves_histograms_and_correction(self, tmp_path):
+    def test_checkpoint_recovery_preserves_histograms(self, tmp_path):
         directory = os.fspath(tmp_path / "wal")
         database = Database.open(directory, name="histwal")
         table = database.create_table("T", ["A", "B"])
         table.insert_many([(i % 25, i) for i in range(300)])
         database.analyze()
-        table.statistics.observe_estimate(actual=600, estimated=60)
         expected_histogram = table.statistics.histogram("A")
-        expected_correction = table.statistics.correction
         assert expected_histogram is not None
         assert database.checkpoint() is True
         database.close()
@@ -256,11 +216,46 @@ class TestPersistenceRoundTrips:
             stats = recovered.catalog.table("T").statistics
             assert stats.histogram("A") == expected_histogram
             assert stats.histogram("B") is not None
-            assert stats.correction == pytest.approx(expected_correction)
             # And the cost model actually consults the recovered data.
             model = CostModel()
             fraction = model.selection_selectivity(stats, "A", "<", 5)
             assert fraction == pytest.approx(5 / 25, rel=0.3)
+        finally:
+            recovered.close()
+
+    def test_checkpoint_with_dropped_statistics_slots_still_opens(
+        self, tmp_path, monkeypatch
+    ):
+        """Statistics used to carry an adaptive ``correction`` factor and
+        a ``_signatures`` null-pattern counter, and checkpoints pickled
+        both slots.  Such a checkpoint must still open, with the
+        surviving counters intact."""
+
+        def old_shape(stats):
+            slots = {name: getattr(stats, name) for name in TableStatistics.__slots__}
+            slots.update(correction=2.5, _signatures={("A", "B"): 300, ("B",): 1})
+            return None, slots
+
+        directory = os.fspath(tmp_path / "wal")
+        database = Database.open(directory, name="oldwal")
+        table = database.create_table("T", ["A", "B"])
+        table.insert_many([(i % 25, i) for i in range(300)] + [(None, 1000)])
+        database.analyze()
+        expected = table.statistics.copy()
+        monkeypatch.setattr(TableStatistics, "__getstate__", old_shape, raising=False)
+        assert database.checkpoint() is True
+        database.close()
+        monkeypatch.undo()
+        with open(os.path.join(directory, CHECKPOINT_NAME), "rb") as handle:
+            assert b"_signatures" in handle.read()
+
+        recovered = Database.open(directory, name="recovered")
+        try:
+            stats = recovered.catalog.table("T").statistics
+            assert stats.same_counts_as(expected)
+            assert stats.histogram("A") == expected.histogram("A")
+            assert not hasattr(stats, "correction")
+            assert len(recovered.catalog.table("T")) == 301
         finally:
             recovered.close()
 

@@ -10,10 +10,13 @@ no residual selection is left behind.  These tests pin the trace shape
 from __future__ import annotations
 
 import pickle
+import random
 import re
 
 import pytest
 
+from repro.core.engine.joins import build_join_buckets, probe_join_block
+from repro.core.tuples import XTuple
 from repro.quel.evaluator import compile_query, run_query
 from repro.quel.planner import DP_JOIN_THRESHOLD, Plan
 from repro.storage.database import Database
@@ -288,8 +291,8 @@ class TestGreedyFallback:
 
 class TestLogicalPlanIsPlainData:
     def test_plan_with_index_steps_pickles(self, db):
-        """The logical ops are the IR shipped to shard workers: an index
-        is named by its attributes, so a plan with an index-select and an
+        """The logical ops are plain data: an index is named by its
+        attributes, so a plan with an index-select and an
         index-nested-loop step round-trips through pickle."""
         db.table("SUPPLY").create_index(["S#"], name="supply_s")
         db.table("DEMAND").create_index(["S#", "P#"], name="demand_key")
@@ -324,3 +327,74 @@ class TestLogicalPlanIsPlainData:
         db.table("SUPPLY").drop_index("supply_s")
         with pytest.raises(StaleResultError, match="supply_s"):
             plan.compile()
+
+
+# ---------------------------------------------------------------------------
+# Fused residual predicates in the join probe loop
+# ---------------------------------------------------------------------------
+
+def emp_dept_database(rows: int = 60, seed: int = 11) -> Database:
+    """EMP(NAME, DEPT, SAL) — nullable DEPT — linked to DEPT(DNAME, FLOOR)."""
+    rng = random.Random(seed)
+    database = Database("emp-dept")
+    emp = database.create_table("EMP", ["NAME", "DEPT", "SAL"])
+    dept = database.create_table("DEPT", ["DNAME", "FLOOR"])
+    for i in range(rows):
+        emp.insert({
+            "NAME": f"e{i}",
+            "DEPT": f"d{rng.randrange(8)}" if rng.random() > 0.3 else None,
+            "SAL": rng.randrange(5),
+        })
+    for j in range(8):
+        dept.insert({"DNAME": f"d{j}", "FLOOR": j % 3})
+    return database
+
+
+EMP_DEPT_JOIN = (
+    "range of e is EMP range of d is DEPT "
+    "retrieve (N = e.NAME, F = d.FLOOR) "
+    "where e.DEPT = d.DNAME and e.SAL > d.FLOOR"
+)
+
+
+class TestResidualFusion:
+    def test_fused_join_matches_tuple_oracle(self):
+        database = emp_dept_database()
+        algebra = run_query(EMP_DEPT_JOIN, database, strategy="algebra")
+        oracle = run_query(EMP_DEPT_JOIN, database, strategy="tuple")
+        assert algebra.answer == oracle.answer
+        joins = [s for s in algebra.plan.steps if "equi-join" in s]
+        assert len(joins) == 1 and "fused residual" in joins[0]
+        assert not any(s.startswith("select residual") for s in algebra.plan.steps)
+
+    def test_probe_join_block_residual_rejects_before_joining(self):
+        probe_rows = [XTuple({"e.K": i, "e.V": i * 10}) for i in range(6)]
+        build_rows = [XTuple({"K": i, "W": i % 3}) for i in range(6)]
+        buckets = build_join_buckets(build_rows, ["K"])
+        calls = []
+
+        def residual(left, right):
+            calls.append((left["e.K"], right["K"]))
+            return right["W"] > 0
+
+        out = probe_join_block(
+            probe_rows, ["e.K"], lambda key: buckets.get(key, ()),
+            lambda row: row.rename({"K": "d.K", "W": "d.W"}), {}, residual,
+        )
+        # Every candidate pair was offered to the residual, only the
+        # passing ones were joined (W > 0 ⇔ K % 3 != 0).
+        assert len(calls) == 6
+        assert sorted(row["d.K"] for row in out) == [1, 2, 4, 5]
+
+    def test_fusion_skips_non_conjunctive_shapes(self):
+        database = emp_dept_database()
+        text = (
+            "range of e is EMP range of d is DEPT "
+            "retrieve (N = e.NAME) "
+            "where e.DEPT = d.DNAME and (e.SAL > d.FLOOR or e.SAL = 0)"
+        )
+        algebra = run_query(text, database, strategy="algebra")
+        # An OR cannot compile to the fast pair predicate: it stays a
+        # separate residual selection after the join.
+        assert any(s.startswith("select residual") for s in algebra.plan.steps)
+        assert algebra.answer == run_query(text, database, strategy="tuple").answer

@@ -196,13 +196,6 @@ class TestKnobsAndScope:
         session.execute("range of t is T retrieve into T2 (t.A) where t.B = 2")
         assert len(session.result_cache) == 0
 
-    def test_parallel_execution_bypasses_the_cache(self):
-        database = fresh_database()
-        session = Session(database)
-        session.execute(QUERY).rows
-        result = session.execute(QUERY, parallelism=2)
-        assert "cached result" not in result.explain()
-
     def test_capacity_eviction_is_lru_and_counted(self):
         database = fresh_database()
         session = Session(database, result_cache_size=2)

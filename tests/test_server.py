@@ -330,6 +330,55 @@ class TestErrors:
             response = s.recv(65536)
         assert b" 400 " in response.split(b"\r\n", 1)[0]
 
+    @staticmethod
+    def raw_post(handle, path, body: bytes):
+        """POST *body* verbatim; ``(status, decoded JSON payload)``."""
+        from http.client import HTTPConnection
+
+        connection = HTTPConnection(handle.host, handle.port, timeout=10)
+        try:
+            connection.request("POST", path, body=body,
+                               headers={"Content-Type": "application/json"})
+            response = connection.getresponse()
+            return response.status, json.loads(response.read())
+        finally:
+            connection.close()
+
+    def test_protocol_error_body_carries_the_response_status(self, handle):
+        assert status_for(ProtocolError("x")) == (400, False)
+        status, payload = self.raw_post(handle, "/statements", b"{not json")
+        assert status == 400
+        assert payload["type"] == "ProtocolError"
+        assert payload["status"] == 400
+
+    @pytest.mark.parametrize("path", ["/statements", "/prepared", "/transactions"])
+    @pytest.mark.parametrize("body", [b"[1, 2]", b'"retrieve"', b"7", b"null"])
+    def test_non_object_json_body_is_a_400(self, handle, path, body):
+        status, payload = self.raw_post(handle, path, body)
+        assert status == 400
+        assert payload["type"] == "ProtocolError"
+        assert payload["status"] == 400
+
+    @pytest.mark.parametrize(
+        "value", [{"x": 1}, [1, 2], float("nan"), float("inf"), float("-inf")],
+        ids=["object", "array", "nan", "infinity", "-infinity"],
+    )
+    def test_non_scalar_params_are_refused_by_name(self, db, client, value):
+        before = len(db.table("T"))
+        with pytest.raises(ServerError) as excinfo:
+            client.execute("append to T (A = $a, B = 1)", {"a": value})
+        assert excinfo.value.status == 400
+        assert excinfo.value.error_type == "ProtocolError"
+        assert "$a" in str(excinfo.value)
+        handle = client.prepare("range of t is T retrieve (t.B) where t.A = $a")
+        with pytest.raises(ServerError) as excinfo:
+            handle.execute({"a": value})
+        assert excinfo.value.status == 400
+        assert len(db.table("T")) == before
+        # Scalars still cross, booleans and null included.
+        for scalar in (1, 2.5, "x", True, None):
+            handle.execute({"a": scalar})
+
 
 # ---------------------------------------------------------------------------
 # Torn connections

@@ -38,19 +38,6 @@ class TestTableStatistics:
         assert stats.distinct_count("C") == 0
         assert stats.null_count("C") == 4
 
-    def test_signature_histogram_tracks_null_patterns(self):
-        stats = TableStatistics(rows(
-            {"A": 1, "B": 2},
-            {"A": 3, "B": 4},
-            {"A": 5, "B": None},
-            {"A": None, "B": None},
-        ))
-        assert stats.signature_histogram() == {
-            ("A", "B"): 2,
-            ("A",): 1,
-            (): 1,
-        }
-
     def test_incremental_add_remove_round_trip(self):
         batch = rows({"A": 1, "B": 2}, {"A": 1, "B": None}, {"A": 2, "B": 2})
         stats = TableStatistics()
@@ -60,7 +47,6 @@ class TestTableStatistics:
         assert stats == TableStatistics(batch[1:])
         stats.remove_rows(batch[1:])
         assert stats.row_count == 0
-        assert stats.signature_histogram() == {}
         assert stats == TableStatistics()
 
     def test_staleness_trips_after_threshold_and_analyze_resets(self):
