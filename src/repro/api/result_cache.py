@@ -15,8 +15,9 @@ keys each materialized answer by everything that function depends on:
   ``ddl_epoch`` stamp.
 
 Because every component is re-read at lookup time and versions only ever
-grow (every mutation path — including snapshot restore and transaction
-rollback, which go through ``Table.reset_rows`` — bumps the counter), a
+grow (every mutation path — including snapshot restore through
+``Table.reset_rows`` and transaction rollback through inverse
+``Table.apply_delta`` calls — bumps the counter), a
 stale entry's key can never equal the current key: **invalidation is
 structural**, not evented.  Superseded entries simply age out of the LRU.
 

@@ -20,8 +20,9 @@ whose compiled plan lives in a session LRU keyed by the statement's
 epoch — re-executing skips lexing, parsing, analysis and planning
 entirely, and any DDL, index change or ANALYZE transparently re-plans on
 the next execution.  :meth:`Session.transaction` gives all-or-nothing
-multi-statement groups (snapshot-based undo); outside a transaction each
-statement autocommits.
+multi-statement groups, undone through the catalog's journal of inverse
+deltas and DDL (O(group) work, never a copy of the database); outside a
+transaction each statement autocommits.
 """
 
 from __future__ import annotations
@@ -154,21 +155,25 @@ class PreparedStatement:
 class Transaction:
     """An all-or-nothing group of statements (a context manager).
 
-    Entering takes a snapshot of every table's rows, index definitions
-    and the foreign-key list; leaving normally commits (discards the
-    snapshot), leaving through an exception — or calling
-    :meth:`rollback` — restores the snapshot wholesale through the bulk
-    rebuild path, drops any table created inside the group and removes
-    any foreign key added inside it.  Tables *dropped* inside the group
-    cannot be recreated from the row snapshot and make the rollback fail
-    loudly rather than silently diverge.
+    Entering opens a group on the catalog's undo journal and notes its
+    length: from then on every change journals its exact inverse (a row
+    delta its swapped delta, a DDL the opposite DDL, a wholesale load or
+    ANALYZE the prior rows and statistics).  Leaving normally commits —
+    nothing to do; an enclosing group keeps the entries.  Leaving through
+    an exception, or calling :meth:`rollback`, applies the entries above
+    the mark newest first, so undo costs what the group did, not what
+    the database holds (a wholesale load or ANALYZE in the group is
+    undone at O(table), as it was done).  A table that existed at
+    :meth:`begin` and was *dropped* inside the group has no inverse and
+    makes the rollback fail loudly, before undoing anything, rather than
+    silently diverge; one created and dropped inside the group just
+    stays gone.
     """
 
     def __init__(self, session: "Session"):
         self.session = session
-        self._snapshot: Optional[Mapping[str, Any]] = None
-        self._tables: Tuple[str, ...] = ()
-        self._foreign_keys: Optional[list] = None
+        #: The catalog's undo group opened by :meth:`begin`.
+        self._group = None
         self._active = False
 
     @property
@@ -182,10 +187,7 @@ class Transaction:
         if self._active:
             raise StorageError("transaction already entered")
         self.session._check_open()
-        database = self.session.database
-        self._snapshot = database.snapshot()
-        self._tables = tuple(database.catalog.table_names())
-        self._foreign_keys = database.catalog.foreign_key_entries()
+        self._group = self.session.database.catalog.begin_group()
         self._active = True
         self.session._transactions.append(self)
         self._mark("begin")
@@ -224,24 +226,25 @@ class Transaction:
             self._close()
 
     def _rollback(self) -> None:
-        """Restore the snapshot, then *always* log the abort marker.
+        """Undo the group through the journal, then *always* log the
+        abort marker.
 
-        The marker must land even when the rollback itself raises (a
-        table dropped inside the group, a created table wedged by a
-        surviving foreign key): it follows whatever compensating records
-        :meth:`_restore` did manage to log, closing the group so the
+        The marker must land even when the undo itself raises (a table
+        dropped inside the group): it follows whatever compensating
+        records the undo did manage to log, closing the group so the
         log's transaction depth returns to zero — otherwise every later
         autocommitted statement would be buffered inside the permanently
         open group (and discarded at recovery) and every checkpoint would
         silently skip, a total durability loss after one failed rollback.
         """
         try:
-            self._restore()
+            self.session.database.catalog.undo_group(self._group)
         finally:
             self._mark("abort")
 
     def _close(self) -> None:
         self._active = False
+        self.session.database.catalog.end_group(self._group)
         if self in self.session._transactions:
             self.session._transactions.remove(self)
 
@@ -249,8 +252,8 @@ class Transaction:
         """Write a transaction marker to the write-ahead log, if one is
         attached.  Replay discards a group whose close marker never made
         it to disk; an ``abort`` marker lands *after* the rollback's
-        compensating restore records, so an aborted group replays to the
-        same (pre-group) state it left in memory.  Under ``sync="commit"``
+        compensating records, so an aborted group replays to the same
+        (pre-group) state it left in memory.  Under ``sync="commit"``
         the close markers are the fsync points — the group's records ride
         one flush."""
         self.session._txn_metric.labels(
@@ -259,25 +262,6 @@ class Transaction:
         wal = getattr(self.session.database, "wal", None)
         if wal is not None:
             wal.append({"op": op})
-
-    def _restore(self) -> None:
-        database = self.session.database
-        missing = [
-            name for name in self._tables if not database.catalog.has_table(name)
-        ]
-        if missing:
-            raise StorageError(
-                f"cannot roll back: table(s) {missing} were dropped inside "
-                f"the transaction (schema undo beyond creation is not supported)"
-            )
-        # Foreign keys revert to the entry snapshot first — additions made
-        # inside the group go away with it, which also unblocks
-        # Database.restore's drop of any table created inside the group
-        # (a group-added key referencing a created table would otherwise
-        # wedge the drop).  Renames re-enter under the new owner name,
-        # which the restore filter tolerates.
-        database.catalog.restore_foreign_keys(self._foreign_keys)
-        database.restore(self._snapshot)
 
 
 class Session:
@@ -430,9 +414,10 @@ class Session:
         if self._closed:
             return
         self._closed = True
-        # Open groups roll back: a connection that vanished mid-group
-        # must not leave its half-applied statements behind.
-        for transaction in list(self._transactions):
+        # Open groups roll back, innermost first: a connection that
+        # vanished mid-group must not leave its half-applied statements
+        # behind.
+        for transaction in reversed(list(self._transactions)):
             if transaction.active:
                 try:
                     transaction.rollback()

@@ -10,7 +10,8 @@ onto a single :class:`repro.storage.Database`.  Concurrency model:
   single-writer discipline: retrieves hold the gate shared, mutations
   exclusive, and an open ``POST /transactions`` group pins the exclusive
   gate to its connection until commit/rollback/disconnect (the engine's
-  snapshot transactions are not isolated from concurrent writers, so
+  transactions share one undo journal per database and are not isolated
+  from concurrent writers — a rollback would undo their writes too — so
   the gate provides the isolation).
 * Every successful mutation is stamped with a global ``seq`` drawn
   while the exclusive gate is held — the serial order of writes, which

@@ -1,7 +1,7 @@
 """The single-writer / concurrent-reader statement gate.
 
 One :class:`repro.storage.Database` serves every connection, and the
-engine's snapshot/restore transactions are not isolated from concurrent
+engine's undo-journal transactions are not isolated from concurrent
 writers — so the server serialises mutators while letting retrieves
 overlap: any number of connections may hold the gate *shared* (their
 executor threads stream pipelines concurrently), one connection at a

@@ -12,6 +12,19 @@ from .table import Table, TableConstraint
 from .wal import picklable_constraints, warn_dropped_constraints
 
 
+class UndoGroup:
+    """One open transaction group: the journal length when it began.
+
+    The catalog keeps every open group, so a rollback that truncates the
+    journal below another group's mark can pull that mark down with it.
+    """
+
+    __slots__ = ("mark",)
+
+    def __init__(self, mark: int) -> None:
+        self.mark = mark
+
+
 class Catalog:
     """A registry of tables plus the foreign keys that relate them.
 
@@ -31,6 +44,98 @@ class Catalog:
         # Write-ahead log shared with every registered table, wired by
         # :meth:`Database.attach_wal` (None without durability).
         self._wal = None
+        # Undo journal of the open transaction group(s), shared with every
+        # registered table the same way (None outside a group); see
+        # :meth:`begin_group`.
+        self._journal: Optional[list] = None
+        self._groups: List[UndoGroup] = []
+
+    # -- undo journal ----------------------------------------------------------------
+    def _record(self, undo, *args) -> None:
+        """Journal the inverse of a catalog change, if a group is open."""
+        if self._journal is not None:
+            self._journal.append((undo, args))
+
+    def _wire_journal(self, journal: Optional[list]) -> None:
+        self._journal = journal
+        for table in self._tables.values():
+            table._journal = journal
+
+    def begin_group(self) -> UndoGroup:
+        """Open a (possibly nested) transaction group.
+
+        While any group is open, every change to the catalog or a table
+        journals its exact inverse — an ``apply_delta`` its swapped delta,
+        a wholesale row replacement (``load``/``truncate``/``reset_rows``)
+        the prior rows and statistics, each DDL the opposite DDL, ANALYZE
+        the prior statistics.  :meth:`undo_group` on the returned group
+        rolls it back; an inner group's entries stay in the journal when it
+        commits, so its enclosing group can still undo them.
+        """
+        if self._journal is None:
+            self._wire_journal([])
+        group = UndoGroup(len(self._journal))
+        self._groups.append(group)
+        return group
+
+    def end_group(self, group: UndoGroup) -> None:
+        """Close *group* (after its commit or rollback).  The last open
+        group's close drops the journal."""
+        if group in self._groups:
+            self._groups.remove(group)
+        if not self._groups:
+            self._wire_journal(None)
+
+    def undo_group(self, group: UndoGroup) -> None:
+        """Undo everything journaled since *group* began, newest first.
+
+        Each inverse goes through the ordinary logged entry point, so the
+        write-ahead log receives O(batch) compensating records and replay
+        of the aborted group converges to the pre-group state.  A table
+        that existed when the group began and was dropped inside it has no
+        inverse: the undo then raises :class:`StorageError` before touching
+        anything.  A table both created and dropped inside the group simply
+        stays gone.  Any other open group whose mark lay above the undone
+        entries now starts where they did.
+        """
+        journal = self._journal
+        mark = group.mark
+        if journal is None or mark >= len(journal):
+            return
+        entries = journal[mark:]
+        created = {id(args[0]) for undo, args in entries if undo == self._uncreate}
+        lost = [
+            args[0].name for undo, args in entries
+            if undo is None and id(args[0]) not in created
+        ]
+        if lost:
+            raise StorageError(
+                f"cannot roll back: table(s) {lost} were dropped inside "
+                f"the transaction (schema undo beyond creation is not supported)"
+            )
+        del journal[mark:]
+        for other in self._groups:
+            other.mark = min(other.mark, mark)
+        # The inverses themselves are not journaled.
+        self._wire_journal(None)
+        try:
+            for undo, args in reversed(entries):
+                if undo is not None:
+                    undo(*args)
+        finally:
+            self._wire_journal(journal)
+
+    def _uncreate(self, table: Table) -> None:
+        """Inverse of creating or registering *table*: drop it, unless the
+        group already did.  Entries on a dropped table still run, but
+        touch only that detached object."""
+        if self._tables.get(table.name) is table:
+            self.drop_table(table.name)
+
+    def _unrename(self, table: Table, old: str) -> None:
+        """Inverse of renaming *table* away from *old*."""
+        if self._tables.get(table.name) is table:
+            self.rename_table(table.name, old)
 
     # -- write-ahead logging -------------------------------------------------------
     def _wal_lock(self):
@@ -86,8 +191,10 @@ class Catalog:
         with self._wal_lock():
             self._log(self._create_record(table))
             table._wal = self._wal
+            table._journal = self._journal
             self._tables[name] = table
             self._ddl_epoch += 1
+            self._record(self._uncreate, table)
         return table
 
     def register_table(self, table: Table) -> Table:
@@ -112,8 +219,10 @@ class Catalog:
                     "attributes": attributes,
                 })
             table._wal = self._wal
+            table._journal = self._journal
             self._tables[table.name] = table
             self._ddl_epoch += 1
+            self._record(self._uncreate, table)
         return table
 
     def drop_table(self, name: str) -> None:
@@ -131,10 +240,15 @@ class Catalog:
             self._log({"op": "drop_table", "name": name})
             dropped = self._tables.pop(name)
             dropped._wal = None
+            dropped._journal = None
             self._foreign_keys = [(owner, fk) for owner, fk in self._foreign_keys if owner != name]
             # Fold the dropped table's epoch in so the catalog-wide sum stays
             # monotone (a cache keyed on it must never see a value reused).
             self._ddl_epoch += dropped.ddl_epoch + 1
+            # No inverse: a dropped table's rows, indexes and keys are
+            # gone, so a group that drops a table older than itself
+            # cannot be undone (see undo_group).
+            self._record(None, dropped)
 
     def rename_table(self, old: str, new: str) -> Table:
         if old not in self._tables:
@@ -157,6 +271,7 @@ class Catalog:
                 for owner, fk in self._foreign_keys
             ]
             self._ddl_epoch += 1
+            self._record(self._unrename, table, old)
         return table
 
     # -- lookups --------------------------------------------------------------------
@@ -212,15 +327,15 @@ class Catalog:
             constraint.check(owner_table.relation, referenced_table.relation)
         with self._wal_lock():
             self._log({"op": "add_foreign_key", "owner": owner, "constraint": constraint})
+            self._record(self.restore_foreign_keys, list(self._foreign_keys))
             self._foreign_keys.append((owner, constraint))
             self._ddl_epoch += 1
 
     def foreign_key_entries(self) -> List[Tuple[str, ForeignKeyConstraint]]:
         """A copy of every ``(owner, constraint)`` entry.
 
-        The snapshot surface transactions use: pair with
-        :meth:`restore_foreign_keys` to roll the foreign-key set back to
-        a saved state.
+        What checkpoints persist; pair with :meth:`restore_foreign_keys`
+        to put the foreign-key set back to a saved state.
         """
         return list(self._foreign_keys)
 
@@ -237,6 +352,7 @@ class Catalog:
         ]
         with self._wal_lock():
             self._log({"op": "restore_foreign_keys", "entries": kept})
+            self._record(self.restore_foreign_keys, self._foreign_keys)
             self._foreign_keys = kept
             self._ddl_epoch += 1
 

@@ -109,6 +109,15 @@ class Table:
         # lock across append + apply so a background checkpoint can never
         # truncate a record whose state change has not landed yet.
         self._wal = None
+        # The catalog's undo journal while a transaction group is open
+        # (None otherwise), wired like ``_wal``: every change appends its
+        # exact inverse (see :meth:`Catalog.begin_group`).
+        self._journal = None
+
+    def _record(self, undo, *args) -> None:
+        """Journal the inverse of a change, if a group is open."""
+        if self._journal is not None:
+            self._journal.append((undo, args))
 
     # -- write-ahead logging ------------------------------------------------------
     def _wal_lock(self):
@@ -195,6 +204,7 @@ class Table:
             index.rebuild(self.relation.tuples())
             self.indexes[index.name] = index
             self.ddl_epoch += 1
+            self._record(self.drop_index, index.name)
         return index
 
     def drop_index(self, name_or_attributes: Union[str, Sequence[str]]) -> None:
@@ -219,8 +229,9 @@ class Table:
             doomed_name = index.name
         with self._wal_lock():
             self._log("drop_index", name=doomed_name)
-            del self.indexes[doomed_name]
+            dropped = self.indexes.pop(doomed_name)
             self.ddl_epoch += 1
+            self._record(self.create_index, dropped.attributes, doomed_name)
 
     def find_index(self, attributes: Sequence[str]) -> Optional[HashIndex]:
         """The index covering exactly this attribute *set*, if any.
@@ -303,8 +314,20 @@ class Table:
         dominance index, every hash index and the statistics counters at
         O(batch) cost.  One WAL record (``insert`` / ``remove`` / ``update``
         by which sides are non-empty, none for an empty delta) is written
-        before one bulk update per structure.
+        before one bulk update per structure; inside a transaction group
+        the swapped delta is journaled as the change's undo (see
+        :meth:`_undo_delta`).
         """
+        return self._apply_delta(removed, added, None)
+
+    def _undo_delta(self, removed, added, staleness: int) -> None:
+        """A rolled-back :meth:`apply_delta`: the swapped delta, after
+        which the staleness counter is put back to *staleness*, its value
+        before the forward change — undone churn is no churn.  The value
+        rides the log record, so replay restores it too."""
+        self._apply_delta(removed, added, staleness)
+
+    def _apply_delta(self, removed, added, staleness: Optional[int]):
         stored = self.relation.tuples()
         removed = {row for row in removed if row in stored}
         added = [
@@ -313,13 +336,15 @@ class Table:
         ]
         if not removed and not added:
             return removed, added
+        extra = {} if staleness is None else {"staleness": staleness}
         with self._wal_lock():
             if not removed:
-                self._log("insert", rows=added)
+                self._log("insert", rows=added, **extra)
             elif not added:
-                self._log("remove", rows=list(removed))
+                self._log("remove", rows=list(removed), **extra)
             else:
-                self._log("update", removed=list(removed), rows=added)
+                self._log("update", removed=list(removed), rows=added, **extra)
+            prior = self.statistics.mutations_since_analyze
             self.relation._version += 1
             if removed:
                 stored.difference_update(removed)
@@ -333,6 +358,9 @@ class Table:
                 for index in self.indexes.values():
                     index.bulk_add(added)
                 self.statistics.add_rows(added)
+            if staleness is not None:
+                self.statistics.mutations_since_analyze = staleness
+            self._record(self._undo_delta, added, removed, prior)
         return removed, added
 
     def insert(self, row: RowLike) -> XTuple:
@@ -431,6 +459,12 @@ class Table:
     def truncate(self) -> None:
         with self._wal_lock():
             self._log("truncate")
+            if self._journal is not None:
+                self._record(
+                    self.reset_rows,
+                    set(self.relation.tuples()),
+                    self.statistics.copy(),
+                )
             self.relation.clear()
             self.dominance.clear()
             for index in self.indexes.values():
@@ -440,7 +474,6 @@ class Table:
     def reset_rows(
         self,
         rows: Iterable[XTuple],
-        *,
         statistics: Optional[TableStatistics] = None,
     ) -> None:
         """Replace the stored rows wholesale and rebuild every index.
@@ -458,12 +491,18 @@ class Table:
         round-trip exactly; otherwise they are re-derived from the rows.
         Logged as one logical ``load`` record (statistics included, so
         crash-recovery replay restores the same estimates and staleness
-        the live path does), which is also how the compensating restores
-        of a rolled-back transaction reach the log.
+        the live path does).  A rolled-back transaction reaches the log
+        this way only to undo a wholesale change of its own — a ``load``,
+        ``truncate``, ``reset_rows`` or ANALYZE inside the group.
         """
         fresh = set(rows)
         with self._wal_lock():
             self._log("load", rows=list(fresh), statistics=statistics)
+            if self._journal is not None:
+                # The replaced set is never mutated again: journal it as is.
+                self._record(
+                    self.reset_rows, self.relation._rows, self.statistics.copy()
+                )
             self.relation._rows = fresh
             self.relation._version += 1
             self.relation._dominance = None
@@ -486,8 +525,18 @@ class Table:
         """
         with self._wal_lock():
             self._log("analyze")
+            if self._journal is not None:
+                self._record(self._restore_statistics, self.statistics.copy())
             self.ddl_epoch += 1
             return self.statistics.analyze(self.relation.tuples())
+
+    def _restore_statistics(self, saved: TableStatistics) -> None:
+        """Undo an ANALYZE: put *saved* back (histogram objects included)
+        through a logged :meth:`reset_rows` of the current rows, which
+        costs O(table) just as the ANALYZE did, and move the epoch on so
+        plans built on the discarded estimates re-plan."""
+        self.reset_rows(self.relation.tuples(), saved)
+        self.ddl_epoch += 1
 
     # -- x-membership ------------------------------------------------------------------------
     def x_contains(self, row: RowLike) -> bool:

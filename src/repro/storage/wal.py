@@ -33,8 +33,11 @@ Design notes
   buffers records between ``begin`` and the matching ``commit``/``abort``;
   a log that *ends* inside an open transaction has that suffix discarded,
   so recovery is all-or-nothing per statement group.  (Aborted groups are
-  replayed in full: the rollback's compensating ``load`` records are part
-  of the group, so the replay converges to the same state.)
+  replayed in full: a rollback applies the group's undo journal through
+  the ordinary entry points, so its compensating records — the swapped
+  deltas, each with the staleness counter it puts back, and inverse DDL,
+  O(group) bytes — are part of the group and the replay converges to the
+  same pre-group state.)
 
 * **Checkpoints.**  :meth:`WriteAheadLog.checkpoint` serialises the
   :meth:`Database.snapshot` surface — rows, index definitions *and* table
@@ -199,8 +202,9 @@ def committed_prefix(
     Records outside any ``begin``/``commit`` bracket autocommit; records
     inside a bracket become durable only when the (outermost) group
     closes — with ``commit`` *or* ``abort``, since an aborted group's
-    compensating restore records are part of the group.  A log ending
-    mid-group therefore loses exactly that group's suffix.  Returns the
+    compensating records (the inverses its rollback applied) are part
+    of the group.  A log ending mid-group therefore loses exactly that
+    group's suffix.  Returns the
     replayable records plus the byte length of the kept prefix (what the
     recovered log should be truncated to before appending continues).
     """
@@ -248,11 +252,18 @@ def apply_record(database, record: Dict[str, Any]) -> None:
     catalog = database.catalog
     if op in ("insert", "remove", "update"):
         # One delta; the kind only says which sides the record carries.
+        # A rollback's compensating delta also carries the staleness
+        # counter it put back.
         table = catalog.table(record["table"])
         if op == "remove":
-            table.apply_delta(record["rows"], ())
+            removed, added = record["rows"], ()
         else:
-            table.apply_delta(record.get("removed", ()), record["rows"])
+            removed, added = record.get("removed", ()), record["rows"]
+        staleness = record.get("staleness")
+        if staleness is None:
+            table.apply_delta(removed, added)
+        else:
+            table._undo_delta(removed, added, staleness)
     elif op == "load":
         catalog.table(record["table"]).reset_rows(
             record["rows"], statistics=record.get("statistics")

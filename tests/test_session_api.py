@@ -20,10 +20,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro
+from repro.constraints.referential import ForeignKeyConstraint
+from repro.core.engine.dominance import DominanceIndex
 from repro.core.errors import QuelSemanticError, StaleResultError, StorageError
 from repro.core.tuples import XTuple
 from repro.quel import run_query
+from repro.stats import TableStatistics
 from repro.storage import Database
+from repro.storage.index import HashIndex
 
 
 @pytest.fixture
@@ -383,6 +387,67 @@ class TestTransactions:
                 db.drop_table("SCRATCH")
                 raise RuntimeError("abort")
 
+    def test_rollback_of_a_table_created_and_dropped_inside(self, session, db):
+        """A table the group made and dropped has nothing to undo: the
+        rollback succeeds and undoes the group's other writes."""
+        before = db.snapshot()
+        with pytest.raises(RuntimeError):
+            with session.transaction():
+                session.execute('append to EMP (E# = 80)')
+                session.execute('range of e is EMP retrieve into TMP (e.NAME)')
+                db.catalog.rename_table("TMP", "TMP2")
+                db.drop_table("TMP2")
+                db.create_table("TMP", ["X"])
+                raise RuntimeError("abort")
+        assert "TMP" not in db and "TMP2" not in db
+        assert db.snapshot() == before
+
+    def test_drop_of_a_table_older_than_the_inner_group(self, session, db):
+        """The inner group cannot recreate what it dropped; the outer
+        group, which created the table, can still roll back."""
+        with session.transaction() as outer:
+            db.create_table("SCRATCH", ["A"])
+            session.execute('append to EMP (E# = 81)')
+            with pytest.raises(StorageError):
+                with session.transaction():
+                    db.drop_table("SCRATCH")
+                    raise RuntimeError("abort")
+            outer.rollback()
+        assert "SCRATCH" not in db
+        assert XTuple({"E#": 81}) not in db["EMP"].tuples()
+
+    def test_interleaved_sessions_each_undo_their_own_writes(self, db):
+        """Two sessions' groups on one database: the first group's
+        rollback takes the second's mark down with the journal, so the
+        second group's later writes still roll back."""
+        first, second = repro.connect(db), repro.connect(db)
+        rows_before = set(db["EMP"].tuples())
+        outer = first.transaction().begin()
+        for e in range(100, 105):
+            first.execute('append to EMP (E# = $e)', {"e": e})
+        inner = second.transaction().begin()
+        outer.rollback()
+        second.execute('append to EMP (E# = 200)')
+        second.execute('append to EMP (E# = 201)')
+        inner.rollback()
+        assert set(db["EMP"].tuples()) == rows_before
+        assert db.catalog._journal is None
+
+    def test_rollback_restores_the_staleness_counter(self, session, db):
+        """Rolled-back churn is no churn: many undone groups leave the
+        staleness counter, and so the histograms, as they were."""
+        table = db.table("EMP")
+        table.analyze()
+        staleness = table.statistics.mutations_since_analyze
+        histogram = table.statistics.histogram("E#")
+        assert histogram is not None
+        for e in range(table.statistics.staleness_threshold):
+            with session.transaction() as txn:
+                session.execute('append to EMP (E# = $e)', {"e": 1000 + e})
+                txn.rollback()
+        assert table.statistics.mutations_since_analyze == staleness
+        assert table.statistics.histogram("E#") is histogram
+
     def test_in_transaction_flag(self, session):
         assert not session.in_transaction
         with session.transaction():
@@ -401,6 +466,27 @@ class TestTransactions:
             assert XTuple({"E#": 61}) not in db["EMP"].tuples()
         assert XTuple({"E#": 60}) in db["EMP"].tuples()
 
+    def test_transactions_copy_nothing(self, session, db, monkeypatch):
+        """Begin, commit and rollback go through the undo journal alone."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a transaction copied or restored the database")
+
+        monkeypatch.setattr(Database, "snapshot", refuse)
+        monkeypatch.setattr(Database, "restore", refuse)
+        with session.transaction():
+            session.execute('append to EMP (E# = 70)')
+        with pytest.raises(RuntimeError):
+            with session.transaction():
+                session.execute('append to EMP (E# = 71)')
+                db.table("EMP").create_index(["NAME"])
+                raise RuntimeError("abort")
+        with session.transaction() as txn:
+            session.execute('range of e is EMP delete e where e.E# = 1')
+            txn.rollback()
+        assert {row["E#"] for row in db["EMP"].tuples()} == {1, 2, 3, 4, 70}
+        assert not db.table("EMP").indexes
+
 
 # ---------------------------------------------------------------------------
 # Hypothesis: rollback is snapshot-exact under arbitrary statement groups
@@ -414,13 +500,25 @@ _STATEMENTS = st.lists(
         st.tuples(st.just("delete"), st.integers(0, 3), st.none()),
         st.tuples(st.just("replace"), st.integers(0, 3), st.integers(0, 3)),
         st.tuples(st.just("into"), st.integers(0, 3), st.none()),
+        st.tuples(st.just("drop"), st.integers(0, 3), st.none()),
+        st.tuples(st.just("index"), st.integers(0, 3), st.none()),
+        st.tuples(st.just("analyze"), st.integers(0, 3), st.none()),
+        st.tuples(st.just("fk"), st.integers(0, 3), st.none()),
+        st.tuples(st.just("rename"), st.integers(0, 3), st.none()),
+        st.tuples(st.just("nested"), st.integers(0, 3), _VALUES),
     ),
     min_size=1,
     max_size=6,
 )
 
 
+def _parent_name(database):
+    """``P``, or ``Q`` while a rename inside the group has it renamed."""
+    return "P" if "P" in database else "Q"
+
+
 def _apply(session, op, key, value):
+    database = session.database
     if op == "append":
         if value is None:
             session.execute('append to R (A = $a)', {"a": key})
@@ -439,6 +537,54 @@ def _apply(session, op, key, value):
             session.execute(
                 f'range of r is R retrieve into {name} (r.A)'
             )
+    elif op == "drop":
+        # Only OUT_k tables, which the group itself created.
+        name = f"OUT_{key}"
+        if name in database:
+            database.drop_table(name)
+    elif op == "index":
+        # Toggles the pre-existing r_a, or an r_b on B.
+        table = database.table("R")
+        name, attributes = (("r_a", ["A"]), ("r_b", ["B"]))[key % 2]
+        if name in table.indexes:
+            table.drop_index(name if key < 2 else attributes)
+        else:
+            table.create_index(attributes, name=name)
+    elif op == "analyze":
+        if key % 2:
+            database.analyze()
+        else:
+            database.table("R").analyze()
+    elif op == "fk":
+        # Every R.A is 0..3 or ni, and P holds 0..3: always satisfied.
+        database.add_foreign_key(
+            "R", ForeignKeyConstraint(["A"], _parent_name(database), ["A"])
+        )
+    elif op == "rename":
+        old = _parent_name(database)
+        database.catalog.rename_table(old, "Q" if old == "P" else "P")
+    elif op == "nested":
+        entry = database.snapshot()
+        with pytest.raises(_InnerAbort):
+            with session.transaction():
+                _apply(session, "append", key, value)
+                _apply(session, "index", key, None)
+                _apply(session, "analyze", key, None)
+                _apply(session, "fk", key, None)
+                raise _InnerAbort()
+        assert database.snapshot() == entry
+        assert session.in_transaction
+
+
+def _assert_structures_match_rebuild(table) -> None:
+    rows = set(table.rows())
+    assert table.dominance._partitions == DominanceIndex(rows)._partitions
+    for index in table.indexes.values():
+        rebuilt = HashIndex(index.attributes)
+        rebuilt.rebuild(rows)
+        assert index._buckets == rebuilt._buckets
+        assert index._unindexed == rebuilt._unindexed
+    assert table.statistics == TableStatistics(rows)
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
@@ -454,19 +600,49 @@ def test_transaction_rollback_is_snapshot_exact(rows, statements):
         for values in rows
     ])
     table.create_index(["A"], name="r_a")
+    database.create_table("P", ["A"]).insert_many([(a,) for a in range(4)])
+    database.analyze()
+    database.insert("P", (9,))  # churn since the ANALYZE
     session = repro.connect(database)
     before = database.snapshot()
     tables_before = set(database.catalog.table_names())
+    foreign_keys_before = database.catalog.foreign_key_entries()
+    histograms_before = {
+        name: dict(database.table(name).statistics._histograms)
+        for name in tables_before
+    }
+    staleness_before = {
+        name: database.table(name).statistics.mutations_since_analyze
+        for name in tables_before
+    }
+    epoch_before = database.epoch
     with pytest.raises(_Abort):
         with session.transaction():
             for op, key, value in statements:
                 _apply(session, op, key, value)
             raise _Abort()
+    assert not session.in_transaction
     assert set(database.catalog.table_names()) == tables_before
     assert database.snapshot() == before
+    assert database.catalog.foreign_key_entries() == foreign_keys_before
+    for name in tables_before:
+        table = database.table(name)
+        _assert_structures_match_rebuild(table)
+        histograms = table.statistics._histograms
+        assert histograms.keys() == histograms_before[name].keys()
+        assert all(
+            histograms[attribute] is histogram
+            for attribute, histogram in histograms_before[name].items()
+        )
+        assert table.statistics.mutations_since_analyze == staleness_before[name]
+    assert database.epoch >= epoch_before
 
 
 class _Abort(Exception):
+    pass
+
+
+class _InnerAbort(Exception):
     pass
 
 

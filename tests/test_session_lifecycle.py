@@ -81,6 +81,27 @@ class TestClose:
         assert not any(row["A"] == 999 for row in db.catalog.table("T").rows())
         assert not session.in_transaction
 
+    def test_close_rolls_back_nested_groups_innermost_first(self, db):
+        """Rolling the outer group back first and the inner one second
+        would put the inner group's entry state back — including the
+        outer group's writes made before the inner begin."""
+        db.create_table("R", ["A"])
+        session = repro.connect(db)
+        session.transaction().begin()
+        session.execute("append to R (A = 1)")
+        session.transaction().begin()
+        session.execute("append to R (A = 2)")
+        session.close()
+        assert set(db.catalog.table("R").rows()) == set()
+        assert not session.in_transaction
+        # Both groups are closed: a fresh group starts from an empty
+        # journal and rolls back on its own.
+        other = repro.connect(db)
+        with other.transaction() as transaction:
+            other.execute("append to R (A = 3)")
+            transaction.rollback()
+        assert set(db.catalog.table("R").rows()) == set()
+
     def test_database_stays_usable_by_other_sessions(self, db):
         first = repro.connect(db)
         first.close()

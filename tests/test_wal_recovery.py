@@ -334,6 +334,75 @@ class TestRecovery:
         recovered.close()
         database.close()
 
+    @staticmethod
+    def _rolled_back_appends(directory: str, table_rows: int):
+        """Roll back a 2-append group on a *table_rows*-row table; the
+        bytes and record kinds it added to the log."""
+        database = Database.open(directory, sync="none")
+        database.create_table("T", ["K", "A"])
+        database.insert_many("T", [{"K": i, "A": i % 7} for i in range(table_rows)])
+        session = connect(database)
+        wal = database.wal
+        wal.flush()
+        start = wal.position()
+        try:
+            with session.transaction():
+                session.execute("append to T (K = $k, A = 1)", {"k": -1})
+                session.execute("append to T (K = $k, A = 2)", {"k": -2})
+                raise _Rollback()
+        except _Rollback:
+            pass
+        wal.flush()
+        grown = wal.position() - start
+        records, ends, _ = read_frames(wal.log_path)
+        ops = [record["op"] for record, end in zip(records, ends) if end > start]
+        assert len(database["T"]) == table_rows
+        database.close()
+        return grown, ops
+
+    def test_rollback_logs_o_batch_bytes_whatever_the_table_size(self, tmp_path):
+        """A rollback logs the inverse of what the group did — here two
+        ``remove`` records — never a whole-table ``load``."""
+        small, small_ops = self._rolled_back_appends(str(tmp_path / "small"), 50)
+        large, large_ops = self._rolled_back_appends(str(tmp_path / "large"), 5_000)
+        assert small_ops == large_ops == [
+            "begin", "insert", "insert", "remove", "remove", "abort",
+        ]
+        assert "load" not in large_ops
+        assert small == large
+
+    def test_rolled_back_group_with_ddl_and_analyze_recovers_to_live(self, tmp_path):
+        source = str(tmp_path / "db")
+        database = Database.open(source)
+        session = connect(database)
+        table = database.create_table("T", ["K", "A"])
+        database.insert_many("T", [{"K": i, "A": i % 5} for i in range(40)])
+        table.analyze()
+        database.insert("T", {"K": 100})  # churn since the ANALYZE
+        before = canonical_state(database)
+        histograms = dict(table.statistics._histograms)
+        try:
+            with session.transaction():
+                session.execute("append to T (K = 200, A = 1)")
+                session.execute("range of t is T delete t where t.A = 2")
+                table.create_index(["A"])
+                table.analyze()
+                session.execute("range of t is T replace t (A = 9) where t.K = 3")
+                raise _Rollback()
+        except _Rollback:
+            pass
+        assert canonical_state(database) == before
+        assert table.statistics._histograms == histograms
+        assert table.statistics.mutations_since_analyze == 1
+        recovered = recover_copy(source, str(tmp_path / "copy"))
+        assert canonical_state(recovered) == canonical_state(database)
+        live, replayed = table.statistics, recovered.table("T").statistics
+        assert replayed == live
+        assert replayed.mutations_since_analyze == live.mutations_since_analyze
+        assert replayed._histograms == live._histograms
+        recovered.close()
+        database.close()
+
     def test_failed_replace_recovers_to_the_pre_statement_state(self, tmp_path):
         """A REPLACE that fails its post-state FK check is undone live by
         the inverse delta; both records are in the log, so a crash-copy
