@@ -11,16 +11,10 @@ QUEL query's plan evolves:
   the indexed table becomes an index-nested-loop probe of the live
   :class:`~repro.storage.index.HashIndex` — no per-query bucket rebuild.
 
-Then two Optimizer v2 features:
-
-* **histogram range estimates** — before ``analyze()`` a range predicate
-  like ``WEIGHT < 5`` is guessed at the textbook 1/3 of the table; after
-  ``analyze()`` the per-attribute equi-depth histogram pins it near the
-  true count;
-* the **semantic result cache** — re-executing an identical retrieve
-  through a :class:`~repro.api.session.Session` answers from the cache
-  (``explain()`` reports the ``cached result`` step) until any DML/DDL
-  on a referenced table structurally invalidates the entry.
+Then the **semantic result cache** — re-executing an identical retrieve
+through a :class:`~repro.api.session.Session` answers from the cache
+(``explain()`` reports the ``cached result`` step) until any DML/DDL on
+a referenced table structurally invalidates the entry.
 
 Run with::
 
@@ -32,7 +26,6 @@ import random
 from repro.api.session import Session
 from repro.quel import compile_query
 from repro.quel.planner import Plan
-from repro.stats import DEFAULT_COST_MODEL
 from repro.storage import Database
 
 
@@ -69,25 +62,6 @@ def show(title: str, plan: Plan) -> None:
     print()
 
 
-def show_histograms(db: Database) -> None:
-    """Range selectivity before vs after ANALYZE builds histograms."""
-    print("=" * 72)
-    print("histogram range estimates (Optimizer v2)")
-    print("=" * 72)
-    parts = db.table("PARTS")
-    actual = sum(1 for row in parts.rows()
-                 if row.get("WEIGHT", None) is not None and row["WEIGHT"] < 5)
-    stats = parts.statistics
-    guess = DEFAULT_COST_MODEL.estimate_selection(stats, "WEIGHT", "<")
-    print(f"WEIGHT < 5 over {len(parts)} rows: true count = {actual}")
-    print(f"  before histograms: est = {guess:.0f}  (the 1/3 constant)")
-    db.analyze()
-    informed = DEFAULT_COST_MODEL.estimate_selection(
-        stats, "WEIGHT", "<", value=5)
-    print(f"  after  analyze():  est = {informed:.0f}  (equi-depth histogram)")
-    print()
-
-
 def show_result_cache(db: Database) -> None:
     """The same retrieve twice through a Session: the repeat is cached."""
     print("=" * 72)
@@ -117,8 +91,6 @@ def main() -> None:
 
     show("cost-based optimizer (selective range first, est= vs rows=)",
          Plan(query, db))
-
-    show_histograms(db)
 
     # Give the optimizer a persistent index on the fused join key of the
     # big unfiltered range and refresh the statistics, then plan the very

@@ -7,8 +7,7 @@ read surfaces:
 
 * ``registry.render_prometheus()`` — the text a ``/metrics`` endpoint
   would serve, with statement latency histograms by kind, plan-cache
-  hit/miss counters, per-operator row and time totals, and the
-  statistics-staleness gauges refreshed at scrape time;
+  hit/miss counters and per-operator row and time totals;
 * ``session.recent_traces()`` — structured :class:`~repro.obs.QueryTrace`
   spans with per-phase timings (parse → analyze → plan → execute) and
   per-operator actuals.

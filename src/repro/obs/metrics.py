@@ -332,7 +332,7 @@ class MetricsRegistry:
     def add_callback(self, callback: Callable[[], Any]) -> None:
         """Register *callback* to run before every :meth:`collect` /
         :meth:`render_prometheus` — used for gauges derived from live
-        state (stats staleness).  A callback returning ``False`` is
+        state.  A callback returning ``False`` is
         pruned (the idiom for weakref-bound sources that died)."""
         with self._lock:
             self._callbacks.append(callback)

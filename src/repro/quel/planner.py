@@ -10,10 +10,9 @@ the equivalent algebraic strategies with a System-R-style cost model
 1. **Planning** (:meth:`Plan.logical_plan`) is a pure phase driven by
    estimates only — rename ranges (lazily), push single-variable
    selections (persistent-index equality probes first), order the joins
-   (Selinger-style dynamic programming over connected subsets; above
-   :data:`DP_JOIN_THRESHOLD` ranges the greedy order — estimated-smallest
-   range first, then the linked range with the smallest estimated join
-   output), fuse all equality conjuncts linking the next range into one
+   greedily (estimated-smallest range first, then the linked range with
+   the smallest estimated join output: O(n²) estimates for n ranges),
+   fuse all equality conjuncts linking the next range into one
    composite key (an index-nested-loop join when that range is an
    unfiltered stored table carrying a
    :class:`~repro.storage.index.HashIndex` on exactly the fused key;
@@ -65,10 +64,6 @@ from .conjuncts import (
     pick_equijoins,
     split_conjuncts,
 )
-
-#: Above this many ranges the Selinger-style DP join enumeration (2^n
-#: subset states) yields to the greedy order.
-DP_JOIN_THRESHOLD = 10
 
 
 class _RangeContext:
@@ -236,11 +231,8 @@ class Plan:
             conjuncts = self._plan_index_selection(ops, context, conjuncts)
             for conjunct in conjuncts:
                 attribute, op, constant = constant_parts(conjunct)
-                # The constant's value lets a fresh ANALYZE-built
-                # histogram replace the 1/3 range guess.
                 estimate = model.estimate_selection(
-                    context.stats(), attribute, op, cardinality=context.est,
-                    value=constant,
+                    context.stats(), attribute, op, cardinality=context.est
                 )
                 context.est = estimate
                 context.filtered = True
@@ -259,20 +251,11 @@ class Plan:
                     conjunct=conjunct, est=estimate,
                 ))
 
-        # Step 3: cost-ordered combination.  The DP enumerator finds the
-        # left-deep order minimising the *total* estimated intermediate
-        # rows (Selinger-style over connected subgraphs, products
-        # deferred); when it declines — a single range, or more than
-        # DP_JOIN_THRESHOLD ranges — the greedy order is used:
-        # estimated-smallest start, then at each step the linked range
-        # with the smallest estimated join output, products (smallest
-        # first) only when nothing is linked.
-        order = self._dp_join_order(variables, declaration, contexts,
-                                    equijoins, deferred)
-        if order is not None:
-            start = order[0]
-        else:
-            start = min(variables, key=lambda v: (contexts[v].est, declaration[v]))
+        # Step 3: cost-ordered combination, greedy: estimated-smallest
+        # start, then at each step the linked range with the smallest
+        # estimated join output, products (smallest first) only when
+        # nothing is linked.
+        start = min(variables, key=lambda v: (contexts[v].est, declaration[v]))
         self._start = start
         included: Set[str] = {start}
         remaining = [v for v in variables if v != start]
@@ -283,36 +266,21 @@ class Plan:
 
         while remaining:
             best = None
-            if order is not None:
-                # Follow the DP-chosen order; whether the next range
-                # joins or products falls out of its links as usual.
-                candidate = order[len(included)]
-                links = pick_equijoins(equijoins, included, candidate)
-                if links:
-                    pairs = orient_links(links, included)
-                    estimate = self._join_estimate(
-                        current, distincts, contexts, contexts[candidate], pairs
-                    )
-                    best = (None, candidate, links, pairs, estimate)
-            else:
-                for variable in remaining:
-                    links = pick_equijoins(equijoins, included, variable)
-                    if not links:
-                        continue
-                    pairs = orient_links(links, included)
-                    estimate = self._join_estimate(
-                        current, distincts, contexts, contexts[variable], pairs
-                    )
-                    key = (estimate, declaration[variable])
-                    if best is None or key < best[0]:
-                        best = (key, variable, links, pairs, estimate)
+            for variable in remaining:
+                links = pick_equijoins(equijoins, included, variable)
+                if not links:
+                    continue
+                pairs = orient_links(links, included)
+                estimate = self._join_estimate(
+                    current, distincts, contexts, contexts[variable], pairs
+                )
+                key = (estimate, declaration[variable])
+                if best is None or key < best[0]:
+                    best = (key, variable, links, pairs, estimate)
             if best is None:
-                if order is not None:
-                    variable = order[len(included)]
-                else:
-                    variable = min(
-                        remaining, key=lambda v: (contexts[v].est, declaration[v])
-                    )
+                variable = min(
+                    remaining, key=lambda v: (contexts[v].est, declaration[v])
+                )
                 estimate = model.product_cardinality(current, contexts[variable].est)
                 ops.append(LogicalOp("product", variable=variable, est=estimate))
             else:
@@ -444,99 +412,6 @@ class Plan:
             current, context.est, key_distincts, null_fractions
         )
 
-    def _dp_join_order(
-        self,
-        variables: Sequence[str],
-        declaration: Dict[str, int],
-        contexts: Dict[str, _RangeContext],
-        equijoins: List[Comparison],
-        deferred: List[Predicate],
-    ) -> Optional[List[str]]:
-        """The cheapest left-deep combination order, by dynamic
-        programming over subsets — or ``None`` for the greedy fallback.
-
-        Selinger-style: one state per subset of ranges, extended only by
-        ranges *connected* to it through an unused equality link;
-        Cartesian products enter the enumeration only for subsets with no
-        linked extension at all ("products deferred").  A state's cost is
-        the sum of the estimated rows of every intermediate it built —
-        the same per-step estimates the emission loop will recompute
-        (``_join_estimate`` plus the deferred-conjunct selectivity folds
-        of ``_plan_deferred``), so the order handed back replays to
-        exactly the costs that selected it.  Ties break toward
-        declaration order, keeping plans deterministic.
-        """
-        count = len(variables)
-        if count < 2 or count > DP_JOIN_THRESHOLD:
-            return None
-
-        deferred_refs = [
-            (conjunct, frozenset(conjunct.references())) for conjunct in deferred
-        ]
-
-        def fold_deferred(estimate, before, after):
-            # Mirror _plan_deferred: a deferred conjunct's selectivity
-            # applies the moment its variables are all combined.
-            for conjunct, refs in deferred_refs:
-                if refs and refs <= after and not refs <= before:
-                    estimate *= _residual_factor(conjunct)
-            return estimate
-
-        linked: Dict[str, Set[str]] = {v: set() for v in variables}
-        for conjunct in equijoins:
-            left, right = conjunct.left.variable, conjunct.right.variable
-            linked[left].add(right)
-            linked[right].add(left)
-
-        def order_rank(order):
-            return tuple(declaration[v] for v in order)
-
-        # subset -> (cost, order, current estimate, shared-key distincts)
-        states: Dict[frozenset, Tuple[float, Tuple[str, ...], float, Dict[str, float]]] = {}
-        for variable in variables:
-            subset = frozenset((variable,))
-            estimate = fold_deferred(contexts[variable].est, frozenset(), subset)
-            states[subset] = (estimate, (variable,), estimate, {})
-
-        for size in range(1, count):
-            for subset in [s for s in states if len(s) == size]:
-                cost, order, current, distincts = states[subset]
-                connected = [
-                    v for v in variables if v not in subset and linked[v] & subset
-                ]
-                candidates = connected or [
-                    v for v in variables if v not in subset
-                ]
-                for variable in candidates:
-                    links = pick_equijoins(equijoins, set(subset), variable)
-                    branch_distincts = dict(distincts)
-                    if links:
-                        pairs = orient_links(links, set(subset))
-                        estimate = self._join_estimate(
-                            current, branch_distincts, contexts,
-                            contexts[variable], pairs,
-                        )
-                        _fold_join_distincts(
-                            branch_distincts, contexts, pairs, estimate
-                        )
-                    else:
-                        estimate = DEFAULT_COST_MODEL.product_cardinality(
-                            current, contexts[variable].est
-                        )
-                    extended = subset | frozenset((variable,))
-                    estimate = fold_deferred(estimate, subset, extended)
-                    branch = (
-                        cost + estimate, order + (variable,),
-                        estimate, branch_distincts,
-                    )
-                    existing = states.get(extended)
-                    if existing is None or (
-                        (branch[0], order_rank(branch[1]))
-                        < (existing[0], order_rank(existing[1]))
-                    ):
-                        states[extended] = branch
-        return list(states[frozenset(variables)][1])
-
     # -- step texts -----------------------------------------------------------
     @staticmethod
     def _step_text(op: LogicalOp) -> str:
@@ -600,7 +475,7 @@ class Plan:
             TraceStep(self._step_text(op), est=op.est, node=node)
             for op, node in zip(ops, nodes)
         ]
-        # One staleness stamp per table the tree probes *live* (the inner
+        # One version stamp per table the tree probes *live* (the inner
         # side of every index-nested-loop join); every other leaf
         # snapshots its rows now and needs no guard.
         guards = [
@@ -655,8 +530,7 @@ def _fold_join_distincts(
     """After a join, both sides of each fused key share one distinct-value
     count (containment of value sets), capped by the join's output
     estimate — recorded under each qualified attribute for the next
-    join's estimate.  Shared between the emission loop and the DP
-    enumerator so simulated orders replay to identical costs."""
+    join's estimate."""
     for old_ref, new_ref in pairs:
         old_key = f"{old_ref.variable}.{old_ref.attribute}"
         new_key = f"{new_ref.variable}.{new_ref.attribute}"

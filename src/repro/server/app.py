@@ -163,12 +163,7 @@ class TableResource:
 
     @classmethod
     def statistics(cls, table) -> Dict[str, Any]:
-        stats = table.statistics
-        return {
-            "row_count": stats.row_count,
-            "mutations_since_analyze": stats.mutations_since_analyze,
-            "stale": stats.stale,
-        }
+        return {"row_count": table.statistics.row_count}
 
 
 # ---------------------------------------------------------------------------

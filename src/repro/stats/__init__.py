@@ -16,12 +16,6 @@ This package supplies the choosing machinery, System-R style:
     discipline a comparison touching ``ni`` is never TRUE, so null
     partitions are discounted from every estimate.
 
-``repro.stats.histogram``
-    :class:`EquiDepthHistogram` — ANALYZE-built per-attribute equi-depth
-    histograms over the non-null partition; the cost model reads range
-    and ``!=`` selectivities off them instead of the 1/3 constant while
-    the owning statistics stay fresh.
-
 The QUEL planner (:mod:`repro.quel.planner`) consumes these to order
 joins by estimated cardinality and to decide when probing a persistent
 :class:`~repro.storage.index.HashIndex` beats rebuilding hash buckets.
@@ -29,12 +23,5 @@ joins by estimated cardinality and to decide when probing a persistent
 
 from .statistics import TableStatistics
 from .cost import CostModel, DEFAULT_COST_MODEL
-from .histogram import DEFAULT_BUCKETS, EquiDepthHistogram
 
-__all__ = [
-    "TableStatistics",
-    "CostModel",
-    "DEFAULT_COST_MODEL",
-    "EquiDepthHistogram",
-    "DEFAULT_BUCKETS",
-]
+__all__ = ["TableStatistics", "CostModel", "DEFAULT_COST_MODEL"]

@@ -18,7 +18,9 @@ compared attribute(s).  Concretely:
   scaled by the probability that both sides are non-null on the compared
   pair (the containment-of-value-sets assumption, null-discounted).
 
-All estimates return floats ≥ 0; the planner only compares them, so
+The statistics are counts only — no value distribution is kept — so a
+range estimate never depends on the constant compared against.  All
+estimates return floats ≥ 0; the planner only compares them, so
 systematic bias cancels.  Exactness is never assumed — ``Plan.explain``
 prints ``est=`` next to the measured ``rows=`` precisely so the two can
 be compared.
@@ -35,10 +37,6 @@ THETA_SELECTIVITY = 1.0 / 3.0
 
 #: Fallback equality selectivity when no distinct count is available.
 DEFAULT_EQ_SELECTIVITY = 0.1
-
-#: Sentinel for "no constant supplied" — ``None`` is a real constant (the
-#: null literal), so absence needs its own marker.
-_NO_VALUE = object()
 
 
 class CostModel:
@@ -58,18 +56,14 @@ class CostModel:
         stats: TableStatistics,
         attribute: str,
         op: str,
-        value=_NO_VALUE,
     ) -> float:
         """Estimated fraction of rows a ``A op constant`` selection keeps.
 
         The null partition of *attribute* is discounted first: a null is
         never TRUE under any comparison, equality and inequality alike.
-        When the actual *value* of the constant is supplied and an
-        ANALYZE-built equi-depth histogram covers the attribute, range and
-        ``!=`` fractions come from the histogram instead of the constant
-        fallbacks (:data:`THETA_SELECTIVITY` / uniformity); without a
-        value — or without a fresh histogram — behaviour is unchanged.
-        Every path clamps to [0, 1].
+        Equality and ``!=`` assume uniformity over the distinct values,
+        ranges keep :data:`THETA_SELECTIVITY`; every path clamps to
+        [0, 1].
         """
         if stats.row_count == 0:
             return 0.0
@@ -77,12 +71,6 @@ class CostModel:
         visible = min(1.0, max(0.0, visible))
         if visible == 0.0:
             return 0.0
-        if value is not _NO_VALUE and op in ("!=", "<", "<=", ">", ">="):
-            histogram = stats.histogram(attribute)
-            if histogram is not None:
-                fraction = histogram.selectivity(op, value)
-                if fraction is not None:
-                    return min(1.0, visible * fraction)
         distinct = stats.distinct_count(attribute)
         if op in ("=", "=="):
             eq = (1.0 / distinct) if distinct else self.default_eq_selectivity
@@ -98,12 +86,11 @@ class CostModel:
         attribute: str,
         op: str,
         cardinality: float = None,
-        value=_NO_VALUE,
     ) -> float:
         """Estimated output rows of a constant selection over *cardinality*
         rows (default: the table's own row count)."""
         base = stats.row_count if cardinality is None else cardinality
-        return base * self.selection_selectivity(stats, attribute, op, value)
+        return base * self.selection_selectivity(stats, attribute, op)
 
     # -- joins ----------------------------------------------------------------
     def join_cardinality(

@@ -21,12 +21,8 @@ property tests against :meth:`analyze`).
 
 :meth:`analyze` is the full-refresh fallback: recount everything from the
 live rows.  Because the incremental path is exact, a refresh never
-changes the counters when maintenance was routed correctly; what it does
-reset is the **staleness tracker** — ``mutations_since_analyze`` counts
-incremental deltas applied since the last full scan, and :attr:`stale`
-trips once that churn exceeds a threshold, signalling that a verifying
-``ANALYZE`` is overdue (cheap insurance against out-of-band mutation of
-the underlying relation).
+changes the counters when maintenance was routed correctly — it only
+repairs them after an out-of-band mutation of the underlying relation.
 """
 
 from __future__ import annotations
@@ -34,52 +30,33 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable
 
 from ..core.tuples import XTuple
-from .histogram import EquiDepthHistogram
-
-#: Incremental deltas tolerated before :attr:`TableStatistics.stale` trips.
-DEFAULT_STALENESS_THRESHOLD = 256
 
 
 class TableStatistics:
     """Exact, incrementally-maintained statistics for one table.
 
     The public read surface — :attr:`row_count`, :meth:`distinct_count`,
-    :meth:`null_count`, :meth:`non_null_count`, :meth:`null_fraction`,
-    :meth:`histogram` — is what the cost model consumes; the mutation
-    surface mirrors the storage layer's bulk entry points.
+    :meth:`null_count`, :meth:`non_null_count`, :meth:`null_fraction` —
+    is what the cost model consumes; the mutation surface mirrors the
+    storage layer's bulk entry points.
     """
 
-    __slots__ = (
-        "row_count",
-        "_values",
-        "_non_null",
-        "staleness_threshold",
-        "mutations_since_analyze",
-        "_histograms",
-    )
+    __slots__ = ("row_count", "_values", "_non_null")
 
-    def __init__(
-        self,
-        rows: Iterable[XTuple] = (),
-        staleness_threshold: int = DEFAULT_STALENESS_THRESHOLD,
-    ):
+    def __init__(self, rows: Iterable[XTuple] = ()):
         self.row_count = 0
         # attribute -> value -> multiplicity (non-null values only)
         self._values: Dict[str, Dict[Any, int]] = {}
         # attribute -> number of rows binding it
         self._non_null: Dict[str, int] = {}
-        self.staleness_threshold = staleness_threshold
-        self.mutations_since_analyze = 0
-        # attribute -> equi-depth histogram of its non-null values, built
-        # by analyze() and trusted only while the staleness counter holds.
-        self._histograms: Dict[str, EquiDepthHistogram] = {}
         if rows:
             self.analyze(rows)
 
     def __setstate__(self, state) -> None:
         """Unpickle, skipping slots this class no longer has: statistics
-        pickled into older checkpoints and ``load`` records also carry
-        ``correction`` and ``_signatures``."""
+        pickled into older checkpoints and ``load`` records may also carry
+        an adaptive correction factor, a null-pattern counter, equi-depth
+        histograms, or a churn counter and its threshold."""
         _, slots = state
         for name, value in slots.items():
             if name in TableStatistics.__slots__:
@@ -87,45 +64,26 @@ class TableStatistics:
 
     # -- incremental maintenance -------------------------------------------
     def add_rows(self, rows: Iterable[XTuple]) -> None:
-        """Count a batch of actually-added rows (one staleness tick)."""
-        touched = False
+        """Count a batch of actually-added rows."""
         for row in rows:
             self._count(row)
-            touched = True
-        if touched:
-            self.mutations_since_analyze += 1
 
     def remove_rows(self, rows: Iterable[XTuple]) -> None:
-        """Discount a batch of actually-removed rows (one staleness tick)."""
-        touched = False
+        """Discount a batch of actually-removed rows."""
         for row in rows:
             self._discount(row)
-            touched = True
-        if touched:
-            self.mutations_since_analyze += 1
 
     def clear(self) -> None:
-        """Reset to the statistics of an empty table (exact, so not stale)."""
+        """Reset to the statistics of an empty table."""
         self.row_count = 0
         self._values.clear()
         self._non_null.clear()
-        self._histograms.clear()
-        self.mutations_since_analyze = 0
 
     def analyze(self, rows: Iterable[XTuple]) -> "TableStatistics":
-        """Full refresh: recount everything from *rows*, resetting staleness.
-
-        A full scan also (re)builds the per-attribute equi-depth
-        histograms.
-        """
+        """Full refresh: recount everything from *rows*."""
         self.clear()
         for row in rows:
             self._count(row)
-        self.mutations_since_analyze = 0
-        for attribute, counter in self._values.items():
-            histogram = EquiDepthHistogram.build(counter)
-            if histogram is not None:
-                self._histograms[attribute] = histogram
         return self
 
     # -- counting plumbing ---------------------------------------------------
@@ -162,17 +120,13 @@ class TableStatistics:
 
     # -- snapshots -------------------------------------------------------------
     def copy(self) -> "TableStatistics":
-        """An independent copy of every counter *and* the staleness
-        bookkeeping — what :meth:`Database.snapshot` carries so a restored
-        database plans on the estimates it had at snapshot time instead of
-        re-deriving (or, worse, keeping post-snapshot drift)."""
-        dup = TableStatistics(staleness_threshold=self.staleness_threshold)
+        """An independent copy of every counter — what
+        :meth:`Database.snapshot` carries so a restored database plans on
+        the estimates it had at snapshot time instead of re-deriving them."""
+        dup = TableStatistics()
         dup.row_count = self.row_count
         dup._values = {a: dict(counter) for a, counter in self._values.items()}
         dup._non_null = dict(self._non_null)
-        dup.mutations_since_analyze = self.mutations_since_analyze
-        # Histograms are immutable once built; sharing them is safe.
-        dup._histograms = dict(self._histograms)
         return dup
 
     def restore_from(self, other: "TableStatistics") -> None:
@@ -186,9 +140,6 @@ class TableStatistics:
         self.row_count = other.row_count
         self._values = {a: dict(counter) for a, counter in other._values.items()}
         self._non_null = dict(other._non_null)
-        self.staleness_threshold = other.staleness_threshold
-        self.mutations_since_analyze = other.mutations_since_analyze
-        self._histograms = dict(other._histograms)
 
     # -- read surface ---------------------------------------------------------
     def distinct_count(self, attribute: str) -> int:
@@ -210,31 +161,9 @@ class TableStatistics:
             return 0.0
         return self.null_count(attribute) / self.row_count
 
-    def histogram(self, attribute: str) -> "EquiDepthHistogram | None":
-        """The attribute's ANALYZE-built equi-depth histogram, or ``None``.
-
-        ``None`` both when no ANALYZE has run since the attribute gained
-        values and once incremental churn trips :attr:`stale` — the
-        histogram is *approximately* maintained (the exact counters drift
-        around it), so past the staleness threshold the cost model falls
-        back to its constants rather than trust a shape the data may
-        have left behind.
-        """
-        if self.stale:
-            return None
-        return self._histograms.get(attribute)
-
-    @property
-    def stale(self) -> bool:
-        """True once incremental churn since the last full scan exceeds the
-        threshold — a prompt to :meth:`analyze`, not a correctness signal
-        (the incremental counters are exact as long as every mutation was
-        routed through this object)."""
-        return self.mutations_since_analyze > self.staleness_threshold
-
     # -- equality (for the differential property tests) -----------------------
     def same_counts_as(self, other: "TableStatistics") -> bool:
-        """Counter-for-counter equality, ignoring staleness bookkeeping."""
+        """Counter-for-counter equality."""
         return (
             self.row_count == other.row_count
             and self._values == other._values
@@ -251,6 +180,5 @@ class TableStatistics:
     def __repr__(self) -> str:
         return (
             f"TableStatistics(rows={self.row_count}, "
-            f"attributes={sorted(self._non_null)}, "
-            f"stale={self.stale})"
+            f"attributes={sorted(self._non_null)})"
         )

@@ -67,8 +67,9 @@ class Catalog:
         While any group is open, every change to the catalog or a table
         journals its exact inverse — an ``apply_delta`` its swapped delta,
         a wholesale row replacement (``load``/``truncate``/``reset_rows``)
-        the prior rows and statistics, each DDL the opposite DDL, ANALYZE
-        the prior statistics.  :meth:`undo_group` on the returned group
+        the prior rows and statistics, each DDL the opposite DDL (ANALYZE
+        journals nothing: its recount is exact before and after).
+        :meth:`undo_group` on the returned group
         rolls it back; an inner group's entries stay in the journal when it
         commits, so its enclosing group can still undo them.
         """

@@ -10,7 +10,6 @@ from a fixed state.
 
 from __future__ import annotations
 
-import weakref
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Union
 
 from ..core.errors import StorageError
@@ -42,51 +41,13 @@ class Database(Mapping[str, Relation]):
         # access time; passing ``metrics=MetricsRegistry()`` isolates
         # this database's series (the test-suite idiom).
         self._metrics = metrics
-        self._stats_hooked: set = set()
 
     # -- observability ---------------------------------------------------------
     @property
     def metrics(self) -> MetricsRegistry:
         """The metrics registry for this database — its own when one was
-        passed to the constructor, else the process-global default.  The
-        first access per registry also registers the scrape-time callback
-        that refreshes the per-table stats-staleness gauges."""
-        registry = self._metrics if self._metrics is not None else get_registry()
-        key = id(registry)
-        if key not in self._stats_hooked:
-            self._stats_hooked.add(key)
-            self._register_stats_gauges(registry)
-        return registry
-
-    def _register_stats_gauges(self, registry: MetricsRegistry) -> None:
-        """Export every table's optimizer-statistics staleness as gauges,
-        refreshed at scrape time.  The callback holds only a weakref so a
-        collected database prunes itself from the registry."""
-        delta_gauge = registry.gauge(
-            "repro_stats_mutations_since_analyze",
-            "Mutations applied to the table since its statistics were last "
-            "rebuilt (the staleness delta).",
-            ("database", "table"),
-        )
-        stale_gauge = registry.gauge(
-            "repro_stats_stale",
-            "1 when the table's statistics have drifted past the staleness "
-            "threshold, else 0.",
-            ("database", "table"),
-        )
-        ref = weakref.ref(self)
-
-        def update():
-            database = ref()
-            if database is None:
-                return False  # prune: the database is gone
-            for table_name in database.catalog.table_names():
-                stats = database.catalog.table(table_name).statistics
-                labels = {"database": database.name, "table": table_name}
-                delta_gauge.labels(**labels).set(stats.mutations_since_analyze)
-                stale_gauge.labels(**labels).set(1.0 if stats.stale else 0.0)
-
-        registry.add_callback(update)
+        passed to the constructor, else the process-global default."""
+        return self._metrics if self._metrics is not None else get_registry()
 
     # -- Mapping protocol (what the QUEL analyzer consumes) ----------------------------
     def __getitem__(self, name: str) -> Relation:
@@ -314,7 +275,7 @@ class Database(Mapping[str, Relation]):
         against the **post** state, since the new rows may legitimately
         re-satisfy keys the deletion removed.  Any violation is undone by
         applying the inverse delta (O(batch): no copy of the table is
-        taken or reloaded, statistics and histograms stay as they were)
+        taken or reloaded, the statistics counters come back exactly)
         — notably, replacing a referenced key out from under its
         referrers raises instead of silently orphaning them (the restrict
         :meth:`delete_many` applies).
@@ -415,7 +376,7 @@ class Database(Mapping[str, Relation]):
         :meth:`restore` round-trip user-created indexes instead of only
         the rows, and the statistics copy means a restored database plans
         on the estimates it had at snapshot time rather than re-derived
-        ones with a freshly-reset staleness tracker.
+        ones.
         """
         out: Dict[str, Dict[str, Any]] = {}
         for name in self.catalog.table_names():

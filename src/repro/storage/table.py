@@ -94,7 +94,7 @@ class Table:
         # mutation path; powers x-membership probes and (4.8) deletion
         # without scanning the table.
         self.dominance = DominanceIndex()
-        # Live statistics (row/distinct/null counts, histograms),
+        # Live statistics (row/distinct/null counts),
         # maintained through the same mutation paths; the cost-based
         # planner reads them instead of scanning the table per query.
         self.statistics = TableStatistics()
@@ -315,19 +315,8 @@ class Table:
         O(batch) cost.  One WAL record (``insert`` / ``remove`` / ``update``
         by which sides are non-empty, none for an empty delta) is written
         before one bulk update per structure; inside a transaction group
-        the swapped delta is journaled as the change's undo (see
-        :meth:`_undo_delta`).
+        the swapped delta is journaled as the change's undo.
         """
-        return self._apply_delta(removed, added, None)
-
-    def _undo_delta(self, removed, added, staleness: int) -> None:
-        """A rolled-back :meth:`apply_delta`: the swapped delta, after
-        which the staleness counter is put back to *staleness*, its value
-        before the forward change — undone churn is no churn.  The value
-        rides the log record, so replay restores it too."""
-        self._apply_delta(removed, added, staleness)
-
-    def _apply_delta(self, removed, added, staleness: Optional[int]):
         stored = self.relation.tuples()
         removed = {row for row in removed if row in stored}
         added = [
@@ -336,15 +325,13 @@ class Table:
         ]
         if not removed and not added:
             return removed, added
-        extra = {} if staleness is None else {"staleness": staleness}
         with self._wal_lock():
             if not removed:
-                self._log("insert", rows=added, **extra)
+                self._log("insert", rows=added)
             elif not added:
-                self._log("remove", rows=list(removed), **extra)
+                self._log("remove", rows=list(removed))
             else:
-                self._log("update", removed=list(removed), rows=added, **extra)
-            prior = self.statistics.mutations_since_analyze
+                self._log("update", removed=list(removed), rows=added)
             self.relation._version += 1
             if removed:
                 stored.difference_update(removed)
@@ -358,9 +345,7 @@ class Table:
                 for index in self.indexes.values():
                     index.bulk_add(added)
                 self.statistics.add_rows(added)
-            if staleness is not None:
-                self.statistics.mutations_since_analyze = staleness
-            self._record(self._undo_delta, added, removed, prior)
+            self._record(self.apply_delta, added, removed)
         return removed, added
 
     def insert(self, row: RowLike) -> XTuple:
@@ -487,13 +472,12 @@ class Table:
 
         When *statistics* is given (a saved :class:`TableStatistics`,
         from a snapshot or checkpoint), the table's live statistics are
-        restored from it — planner estimates and the staleness tracker
-        round-trip exactly; otherwise they are re-derived from the rows.
-        Logged as one logical ``load`` record (statistics included, so
-        crash-recovery replay restores the same estimates and staleness
-        the live path does).  A rolled-back transaction reaches the log
-        this way only to undo a wholesale change of its own — a ``load``,
-        ``truncate``, ``reset_rows`` or ANALYZE inside the group.
+        restored from it — planner estimates round-trip exactly; otherwise
+        they are re-derived from the rows.  Logged as one logical ``load``
+        record (statistics included, so crash-recovery replay restores the
+        same estimates the live path does).  A rolled-back transaction
+        reaches the log this way only to undo a wholesale change of its
+        own — a ``load``, ``truncate`` or ``reset_rows`` inside the group.
         """
         fresh = set(rows)
         with self._wal_lock():
@@ -520,23 +504,15 @@ class Table:
 
         The incremental maintenance is exact, so this is a no-op on the
         counters when every mutation went through this table's methods;
-        it resets the staleness tracker and repairs the statistics after
-        any out-of-band mutation of the underlying relation.
+        it repairs the statistics after any out-of-band mutation of the
+        underlying relation.  Logged, and it moves the epoch on.  It is
+        not journaled: the counters are exact either way, so a rolled-back
+        group keeps the recount and undoes only its row changes.
         """
         with self._wal_lock():
             self._log("analyze")
-            if self._journal is not None:
-                self._record(self._restore_statistics, self.statistics.copy())
             self.ddl_epoch += 1
             return self.statistics.analyze(self.relation.tuples())
-
-    def _restore_statistics(self, saved: TableStatistics) -> None:
-        """Undo an ANALYZE: put *saved* back (histogram objects included)
-        through a logged :meth:`reset_rows` of the current rows, which
-        costs O(table) just as the ANALYZE did, and move the epoch on so
-        plans built on the discarded estimates re-plan."""
-        self.reset_rows(self.relation.tuples(), saved)
-        self.ddl_epoch += 1
 
     # -- x-membership ------------------------------------------------------------------------
     def x_contains(self, row: RowLike) -> bool:

@@ -35,9 +35,8 @@ Design notes
   so recovery is all-or-nothing per statement group.  (Aborted groups are
   replayed in full: a rollback applies the group's undo journal through
   the ordinary entry points, so its compensating records — the swapped
-  deltas, each with the staleness counter it puts back, and inverse DDL,
-  O(group) bytes — are part of the group and the replay converges to the
-  same pre-group state.)
+  deltas and inverse DDL, O(group) bytes — are part of the group and the
+  replay converges to the same pre-group state.)
 
 * **Checkpoints.**  :meth:`WriteAheadLog.checkpoint` serialises the
   :meth:`Database.snapshot` surface — rows, index definitions *and* table
@@ -79,6 +78,7 @@ Design notes
 
 from __future__ import annotations
 
+import io
 import logging
 import os
 import pickle
@@ -148,6 +148,30 @@ def _unpack_record(record: Dict[str, Any]) -> Dict[str, Any]:
     return record
 
 
+#: Modules older logs and checkpoints may name but this release no longer
+#: has.  Their objects only ever sat in statistics slots that
+#: :meth:`TableStatistics.__setstate__` skips, so they load as inert
+#: placeholders instead of making the file unreadable.
+_DROPPED_MODULES = frozenset({"repro.stats.histogram"})
+
+
+class _DroppedObject:
+    """An object of a class from :data:`_DROPPED_MODULES`; never used."""
+
+    def __setstate__(self, state) -> None:
+        pass
+
+
+class _Unpickler(pickle.Unpickler):
+    """The unpickler for log frames and checkpoints: resolves classes
+    from :data:`_DROPPED_MODULES` to :class:`_DroppedObject`."""
+
+    def find_class(self, module: str, name: str):
+        if module in _DROPPED_MODULES:
+            return _DroppedObject
+        return super().find_class(module, name)
+
+
 def encode_frame(record: Dict[str, Any]) -> bytes:
     """One length-prefixed, checksummed frame for *record*."""
     payload = pickle.dumps(_pack_record(record), protocol=pickle.HIGHEST_PROTOCOL)
@@ -183,7 +207,7 @@ def read_frames(path: str) -> Tuple[List[Dict[str, Any]], List[int], int]:
         if zlib.crc32(payload) != crc:
             break  # corrupt record: everything after it is suspect
         try:
-            record = pickle.loads(payload)
+            record = _Unpickler(io.BytesIO(payload)).load()
         except Exception:
             break
         if not isinstance(record, dict) or "op" not in record:
@@ -252,18 +276,14 @@ def apply_record(database, record: Dict[str, Any]) -> None:
     catalog = database.catalog
     if op in ("insert", "remove", "update"):
         # One delta; the kind only says which sides the record carries.
-        # A rollback's compensating delta also carries the staleness
-        # counter it put back.
+        # Fields beyond the row sets (older logs tagged rollback deltas
+        # with a churn counter) are ignored.
         table = catalog.table(record["table"])
         if op == "remove":
             removed, added = record["rows"], ()
         else:
             removed, added = record.get("removed", ()), record["rows"]
-        staleness = record.get("staleness")
-        if staleness is None:
-            table.apply_delta(removed, added)
-        else:
-            table._undo_delta(removed, added, staleness)
+        table.apply_delta(removed, added)
     elif op == "load":
         catalog.table(record["table"]).reset_rows(
             record["rows"], statistics=record.get("statistics")
@@ -770,7 +790,7 @@ class WriteAheadLog:
             state = None
             try:
                 with open(self.checkpoint_path, "rb") as handle:
-                    state = pickle.load(handle)
+                    state = _Unpickler(handle).load()
             except FileNotFoundError:
                 pass
             except Exception as error:

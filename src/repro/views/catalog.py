@@ -10,7 +10,7 @@ the minimal machinery to make those views first-class:
 * :class:`View` — a named algebra expression with a docstring;
 * :class:`ViewCatalog` — registration, lookup, dependency queries
   ("which views read EMP?"), evaluation against any database mapping, and
-  optional materialisation with staleness tracking;
+  optional materialisation with an :meth:`~ViewCatalog.is_stale` check;
 * :func:`network_to_relational` — the canonical example from [26]: an
   owner record type and a member record type linked by a set type are
   presented as a single relation via the union-join, losing no records.

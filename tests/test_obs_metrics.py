@@ -185,14 +185,6 @@ class TestEngineSeries:
         assert series("repro_plans_total") >= 1
         assert series("repro_exec_rows_total") >= 20
         assert series("repro_exec_operator_rows_total", operator="TableScan") >= 20
-        assert series("repro_stats_mutations_since_analyze", database="obsdb", table="T") > 0
-        assert series("repro_stats_stale", database="obsdb", table="T") == 0
-
-        # push the table past the staleness threshold: the gauge trips
-        database.catalog.table("T").statistics.staleness_threshold = 0
-        session.execute("append to T (A = 102, B = 0)")
-        parsed = parse_prometheus(registry.render_prometheus())
-        assert series("repro_stats_stale", database="obsdb", table="T") == 1
 
     def test_join_choices_count_the_operators_actually_built(self):
         """The strategy counter follows the operator the builder made: an

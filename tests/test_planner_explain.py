@@ -12,13 +12,14 @@ from __future__ import annotations
 import pickle
 import random
 import re
+import time
 
 import pytest
 
 from repro.core.engine.joins import build_join_buckets, probe_join_block
 from repro.core.tuples import XTuple
 from repro.quel.evaluator import compile_query, run_query
-from repro.quel.planner import DP_JOIN_THRESHOLD, Plan
+from repro.quel.planner import Plan
 from repro.storage.database import Database
 
 
@@ -263,12 +264,11 @@ class TestCostOptimizerTraces:
         assert result.answer == run_query(text, db, strategy="tuple").answer
 
 
-class TestGreedyFallback:
+class TestJoinOrder:
     def test_eleven_range_chain_takes_the_greedy_order(self):
-        """More ranges than DP_JOIN_THRESHOLD: the enumerator declines
-        and the greedy order plans the chain — same answer as the
-        oracle, one combine step per added range, no product."""
-        count = DP_JOIN_THRESHOLD + 1
+        """An 11-range chain: the greedy order plans it — same answer as
+        the oracle, one combine step per added range, no product."""
+        count = 11
         database = Database("chain11")
         for i in range(count):
             # 2–3 rows per range; every third range has a row null on K.
@@ -287,6 +287,37 @@ class TestGreedyFallback:
         assert len(answer) > 0
         assert len(join_steps(plan)) == count - 1
         assert "product" not in plan.explain()
+
+    @pytest.mark.parametrize("count", [10, 14])
+    def test_clique_plans_in_bounded_time(self, count):
+        """Every pair of ranges is linked: planning stays polynomial in
+        the number of ranges (a subset enumeration would visit 2^n
+        states), and every range after the first joins, none products."""
+        database = Database("clique")
+        for i in range(count):
+            rows = [(k, i) for k in range(3)] + [(None, i)]
+            database.create_table(f"T{i}", ["K", "V"]).insert_many(rows)
+        database.analyze()
+        text = (
+            " ".join(f"range of t{i} is T{i}" for i in range(count))
+            + f" retrieve (t0.K, t{count - 1}.V) where "
+            + " and ".join(
+                f"t{i}.K = t{j}.K"
+                for i in range(count) for j in range(i + 1, count)
+            )
+        )
+        plan = Plan(compile_query(text, database).query, database)
+        started = time.perf_counter()
+        ops = plan.logical_plan()
+        assert time.perf_counter() - started < 0.1
+        kinds = [op.kind for op in ops]
+        assert kinds.count("join") == count - 1
+        assert "product" not in kinds
+        answer = plan.execute()
+        assert sorted(t.items() for t in answer) == sorted(
+            XTuple({"t0_K": k, f"t{count - 1}_V": count - 1}).items()
+            for k in range(3)
+        )
 
 
 class TestLogicalPlanIsPlainData:

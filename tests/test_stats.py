@@ -3,8 +3,7 @@
 The property-level pinning — incremental maintenance ≡ ``analyze()`` from
 scratch after arbitrary mutation interleavings — lives in
 ``tests/test_storage_properties.py``; these are the direct behavioural
-tests for the counters, the staleness tracker and the null-aware
-estimation formulas.
+tests for the counters and the null-aware estimation formulas.
 """
 
 from __future__ import annotations
@@ -49,28 +48,6 @@ class TestTableStatistics:
         assert stats.row_count == 0
         assert stats == TableStatistics()
 
-    def test_staleness_trips_after_threshold_and_analyze_resets(self):
-        stats = TableStatistics(staleness_threshold=2)
-        assert not stats.stale
-        seen = []
-        for i in range(3):
-            row = XTuple({"A": i})
-            seen.append(row)
-            stats.add_rows([row])
-        assert stats.mutations_since_analyze == 3
-        assert stats.stale
-        stats.analyze(seen)
-        assert stats.mutations_since_analyze == 0
-        assert not stats.stale
-        assert stats.row_count == 3
-
-    def test_bulk_add_counts_one_staleness_tick(self):
-        stats = TableStatistics(staleness_threshold=2)
-        stats.add_rows(rows({"A": 1}, {"A": 2}, {"A": 3}))
-        assert stats.mutations_since_analyze == 1
-        stats.add_rows([])
-        assert stats.mutations_since_analyze == 1
-
     def test_table_analyze_is_noop_on_counters(self):
         table = Table(["A", "B"], name="T")
         table.insert_many([(1, 2), (1, None), (3, 4)])
@@ -79,7 +56,6 @@ class TestTableStatistics:
         assert table.statistics == before
         table.analyze()
         assert table.statistics == before
-        assert table.statistics.mutations_since_analyze == 0
 
 
 class TestCostModel:
@@ -135,3 +111,49 @@ class TestCostModel:
         assert model.product_cardinality(7, 9) == 63
         assert model.residual_selectivity(["="]) == pytest.approx(model.default_eq_selectivity)
         assert model.residual_selectivity(["<", ">"]) == pytest.approx(model.theta_selectivity ** 2)
+
+
+class TestCostModelDegenerateDistributions:
+    model = CostModel()
+
+    def test_empty_table_estimates_zero(self):
+        stats = TableStatistics()
+        for op in ("=", "!=", "<", "<=", ">", ">="):
+            assert self.model.selection_selectivity(stats, "A", op) == 0.0
+            assert self.model.estimate_selection(stats, "A", op) == 0.0
+
+    def test_all_null_attribute_estimates_zero(self):
+        # Under the lower-bound discipline no comparison against an
+        # all-null attribute is ever TRUE — including "!=" and ranges.
+        stats = TableStatistics(rows({"A": None}, {"A": None}, {"A": None}))
+        for op in ("=", "!=", "<", "<=", ">", ">="):
+            assert self.model.selection_selectivity(stats, "A", op) == 0.0
+
+    def test_single_value_attribute(self):
+        stats = TableStatistics(rows(*({"A": 7} for _ in range(10))))
+        assert self.model.selection_selectivity(stats, "A", "=") == pytest.approx(1.0)
+        assert self.model.selection_selectivity(stats, "A", "!=") == 0.0
+        # No value distribution is kept: a range keeps the 1/3 constant.
+        for op in ("<", "<=", ">", ">="):
+            assert self.model.selection_selectivity(stats, "A", op) == pytest.approx(
+                self.model.theta_selectivity
+            )
+
+    def test_estimates_clamped_to_unit_interval(self):
+        stats = TableStatistics(rows(
+            {"A": 1}, {"A": 1}, {"A": 1}, {"A": 2}, {"A": None}, {"A": None}
+        ))
+        for model in (self.model, CostModel(theta_selectivity=5.0,
+                                            default_eq_selectivity=5.0)):
+            for op in ("=", "!=", "<", "<=", ">", ">="):
+                fraction = model.selection_selectivity(stats, "A", op)
+                assert 0.0 <= fraction <= 1.0
+
+    def test_valueless_calls_keep_constant_fallbacks(self):
+        stats = TableStatistics(rows(*({"A": i} for i in range(30))))
+        assert self.model.selection_selectivity(stats, "A", "<") == pytest.approx(
+            self.model.theta_selectivity
+        )
+        assert self.model.selection_selectivity(stats, "A", "!=") == pytest.approx(
+            1.0 - 1.0 / 30
+        )

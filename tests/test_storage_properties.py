@@ -10,7 +10,7 @@ Two families of guarantees:
   never drift from the definitional state.
 * **Statistics consistency** — the incrementally-maintained
   :class:`~repro.stats.TableStatistics` (row count, per-attribute
-  distinct/null counters, signature histogram) equals an
+  distinct/null counters) equals an
   ``analyze()``-from-scratch recount after the same interleavings; the
   incremental path can never drift from the definitional counts.
 * **One write primitive** — any :meth:`Table.apply_delta` followed by
@@ -211,7 +211,7 @@ class TestDeltaPrimitive:
     def test_single_row_forms_are_singleton_batches(self, operations):
         """insert(r) / delete(r) ≡ insert_many([r]) / delete_many([r]),
         on Table and Database alike: same return value, same state
-        (staleness counter included), same WAL records."""
+        (statistics included), same WAL records."""
         with tempfile.TemporaryDirectory() as directory:
             outcomes = []
             for batched in (False, True):
@@ -236,8 +236,7 @@ class TestDeltaPrimitive:
                         if key in record:
                             record[key] = sorted(record[key], key=XTuple.items)
                 outcomes.append((
-                    returned, set(table.rows()),
-                    table.statistics.mutations_since_analyze, records,
+                    returned, set(table.rows()), table.statistics, records,
                 ))
                 database.close()
             assert outcomes[0] == outcomes[1]
@@ -259,8 +258,8 @@ class TestStatisticsProperties:
     @given(st.lists(OPERATIONS, max_size=12))
     def test_incremental_statistics_match_full_analyze(self, operations):
         """After any mutation interleaving the live counters — row count,
-        per-attribute value counters, null counts, signature histogram —
-        equal a from-scratch analyze() of the stored rows."""
+        per-attribute value counters, null counts — equal a from-scratch
+        analyze() of the stored rows."""
         table = Table(ATTRIBUTES, name="T")
         apply_operations(table, operations)
         fresh = TableStatistics(set(table.rows()))
@@ -268,10 +267,9 @@ class TestStatisticsProperties:
         for attribute in ATTRIBUTES:
             assert table.statistics.distinct_count(attribute) == fresh.distinct_count(attribute)
             assert table.statistics.null_count(attribute) == fresh.null_count(attribute)
-        # analyze() is a no-op on the counters, and resets staleness.
+        # analyze() is a no-op on the counters.
         table.analyze()
         assert table.statistics == fresh
-        assert table.statistics.mutations_since_analyze == 0
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.lists(ROWS, max_size=8), st.lists(ROWS, max_size=8))

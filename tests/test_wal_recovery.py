@@ -26,7 +26,9 @@ from __future__ import annotations
 
 import os
 import shutil
+import sys
 import threading
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,6 +42,7 @@ from repro.core.tuples import XTuple
 from repro.stats import TableStatistics
 from repro.storage.database import Database
 from repro.storage.wal import (
+    CHECKPOINT_NAME,
     CheckpointWorker,
     WriteAheadLog,
     committed_prefix,
@@ -69,6 +72,35 @@ def canonical_state(database: Database):
         (owner, fk.name) for owner, fk in database.catalog.foreign_key_entries()
     ))
     return tables, fks
+
+
+def pickle_statistics_in_the_older_shape(monkeypatch) -> None:
+    """Until ``monkeypatch.undo()``, pickle :class:`TableStatistics` as
+    earlier releases wrote it: the same counters plus slots the class
+    has since dropped, one holding an object of a class from a module
+    this release no longer has (registered only while writing)."""
+    module = types.ModuleType("repro.stats.histogram")
+    histogram_class = type("EquiDepthHistogram", (), {
+        "__slots__": ("minimum", "total", "buckets"),
+        "__module__": module.__name__,
+    })
+    module.EquiDepthHistogram = histogram_class
+    monkeypatch.setitem(sys.modules, module.__name__, module)
+    histogram = histogram_class()
+    histogram.minimum, histogram.total, histogram.buckets = 0, 3, ((2, 3),)
+
+    def older_shape(stats):
+        slots = {name: getattr(stats, name) for name in TableStatistics.__slots__}
+        slots.update(
+            correction=2.5,
+            _signatures={("A", "B"): 300, ("B",): 1},
+            _histograms={"A": histogram},
+            mutations_since_analyze=7,
+            staleness_threshold=256,
+        )
+        return None, slots
+
+    monkeypatch.setattr(TableStatistics, "__getstate__", older_shape, raising=False)
 
 
 def copy_wal_dir(source: str, target: str) -> None:
@@ -335,9 +367,10 @@ class TestRecovery:
         database.close()
 
     @staticmethod
-    def _rolled_back_appends(directory: str, table_rows: int):
-        """Roll back a 2-append group on a *table_rows*-row table; the
-        bytes and record kinds it added to the log."""
+    def _rolled_back_appends(directory: str, table_rows: int, analyze: bool):
+        """Roll back a 2-append group (with an ANALYZE between the
+        appends when *analyze*) on a *table_rows*-row table; the bytes
+        and record kinds it added to the log."""
         database = Database.open(directory, sync="none")
         database.create_table("T", ["K", "A"])
         database.insert_many("T", [{"K": i, "A": i % 7} for i in range(table_rows)])
@@ -348,6 +381,8 @@ class TestRecovery:
         try:
             with session.transaction():
                 session.execute("append to T (K = $k, A = 1)", {"k": -1})
+                if analyze:
+                    database.analyze()
                 session.execute("append to T (K = $k, A = 2)", {"k": -2})
                 raise _Rollback()
         except _Rollback:
@@ -357,19 +392,27 @@ class TestRecovery:
         records, ends, _ = read_frames(wal.log_path)
         ops = [record["op"] for record, end in zip(records, ends) if end > start]
         assert len(database["T"]) == table_rows
+        assert database.table("T").statistics == TableStatistics(database["T"].tuples())
         database.close()
         return grown, ops
 
     def test_rollback_logs_o_batch_bytes_whatever_the_table_size(self, tmp_path):
         """A rollback logs the inverse of what the group did — here two
-        ``remove`` records — never a whole-table ``load``."""
-        small, small_ops = self._rolled_back_appends(str(tmp_path / "small"), 50)
-        large, large_ops = self._rolled_back_appends(str(tmp_path / "large"), 5_000)
-        assert small_ops == large_ops == [
-            "begin", "insert", "insert", "remove", "remove", "abort",
-        ]
-        assert "load" not in large_ops
-        assert small == large
+        ``remove`` records — never a whole-table ``load``, also when the
+        group ran an ANALYZE (it is not undone: its recount is exact)."""
+        for analyze, expected in [
+            (False, ["begin", "insert", "insert", "remove", "remove", "abort"]),
+            (True, ["begin", "insert", "analyze", "insert", "remove", "remove",
+                    "abort"]),
+        ]:
+            small, small_ops = self._rolled_back_appends(
+                str(tmp_path / f"small-{analyze}"), 50, analyze
+            )
+            large, large_ops = self._rolled_back_appends(
+                str(tmp_path / f"large-{analyze}"), 5_000, analyze
+            )
+            assert small_ops == large_ops == expected
+            assert small == large
 
     def test_rolled_back_group_with_ddl_and_analyze_recovers_to_live(self, tmp_path):
         source = str(tmp_path / "db")
@@ -378,9 +421,8 @@ class TestRecovery:
         table = database.create_table("T", ["K", "A"])
         database.insert_many("T", [{"K": i, "A": i % 5} for i in range(40)])
         table.analyze()
-        database.insert("T", {"K": 100})  # churn since the ANALYZE
+        database.insert("T", {"K": 100})
         before = canonical_state(database)
-        histograms = dict(table.statistics._histograms)
         try:
             with session.transaction():
                 session.execute("append to T (K = 200, A = 1)")
@@ -392,14 +434,10 @@ class TestRecovery:
         except _Rollback:
             pass
         assert canonical_state(database) == before
-        assert table.statistics._histograms == histograms
-        assert table.statistics.mutations_since_analyze == 1
+        assert table.statistics == TableStatistics(table.rows())
         recovered = recover_copy(source, str(tmp_path / "copy"))
         assert canonical_state(recovered) == canonical_state(database)
-        live, replayed = table.statistics, recovered.table("T").statistics
-        assert replayed == live
-        assert replayed.mutations_since_analyze == live.mutations_since_analyze
-        assert replayed._histograms == live._histograms
+        assert recovered.table("T").statistics == table.statistics
         recovered.close()
         database.close()
 
@@ -474,6 +512,78 @@ class TestRecovery:
         assert set(recovered.table("S").rows()) == set(rows({"X": 3}))
         recovered.close()
         database.close()
+
+    def test_rolled_back_group_in_the_older_log_shape_replays(
+        self, tmp_path, monkeypatch
+    ):
+        """Earlier releases tagged a rollback's compensating deltas with
+        the churn counter they put back (a ``staleness`` field) and undid
+        an ANALYZE with a ``load`` of the current rows carrying the prior
+        statistics, pickled with since-dropped slots.  Replay ignores the
+        field and opens those statistics."""
+        source = str(tmp_path / "db")
+        database = Database.open(source)
+        database.create_table("T", ["K"])
+
+        def rows(*keys):
+            return [XTuple({"K": k}) for k in keys]
+
+        pickle_statistics_in_the_older_shape(monkeypatch)
+        for record in [
+            {"op": "insert", "table": "T", "rows": rows(1, 2, 3)},
+            {"op": "begin"},
+            {"op": "insert", "table": "T", "rows": rows(4)},
+            {"op": "remove", "table": "T", "rows": rows(2)},
+            {"op": "analyze", "table": "T"},
+            {"op": "load", "table": "T", "rows": rows(1, 3, 4),
+             "statistics": TableStatistics(rows(1, 3, 4))},
+            {"op": "insert", "table": "T", "rows": rows(2), "staleness": 2},
+            {"op": "remove", "table": "T", "rows": rows(4), "staleness": 1},
+            {"op": "abort"},
+        ]:
+            database.wal.append(record)  # logged, never applied live
+        database.wal.flush()
+        monkeypatch.undo()
+        recovered = recover_copy(source, str(tmp_path / "copy"))
+        table = recovered.table("T")
+        assert set(table.rows()) == set(rows(1, 2, 3))
+        assert table.statistics == TableStatistics(rows(1, 2, 3))
+        recovered.close()
+        database.close()
+
+    def test_checkpoint_with_dropped_statistics_slots_still_opens(
+        self, tmp_path, monkeypatch
+    ):
+        """Statistics used to carry an adaptive correction factor, a
+        null-pattern counter, equi-depth histograms and a churn counter
+        with its threshold, and checkpoints pickled every slot.  Such a
+        checkpoint must still open, with the surviving counters intact."""
+        directory = os.fspath(tmp_path / "wal")
+        database = Database.open(directory, name="oldwal")
+        table = database.create_table("T", ["A", "B"])
+        table.insert_many([(i % 25, i) for i in range(300)] + [(None, 1000)])
+        database.analyze()
+        expected = table.statistics.copy()
+        pickle_statistics_in_the_older_shape(monkeypatch)
+        assert database.checkpoint() is True
+        database.close()
+        monkeypatch.undo()
+        with open(os.path.join(directory, CHECKPOINT_NAME), "rb") as handle:
+            stored = handle.read()
+        for slot in (b"_signatures", b"_histograms", b"mutations_since_analyze",
+                     b"staleness_threshold", b"repro.stats.histogram"):
+            assert slot in stored
+        assert "repro.stats.histogram" not in sys.modules
+
+        recovered = Database.open(directory, name="recovered")
+        try:
+            stats = recovered.catalog.table("T").statistics
+            assert stats.same_counts_as(expected)
+            assert not hasattr(stats, "correction")
+            assert not hasattr(stats, "_histograms")
+            assert len(recovered.catalog.table("T")) == 301
+        finally:
+            recovered.close()
 
     def test_recovery_requires_empty_database(self, tmp_path):
         source = str(tmp_path / "db")
@@ -604,24 +714,20 @@ class TestCheckpointCrashAtomicity:
 
     def test_replayed_load_restores_statistics(self, tmp_path):
         """A logged 'load' carries the statistics handed to reset_rows,
-        so crash recovery reproduces the same planner estimates and
-        staleness tracker as the live restore path — not a re-analysis."""
+        so crash recovery reproduces the same planner estimates as the
+        live restore path."""
         source = str(tmp_path / "db")
         database = Database.open(source)
         database.create_table("T", ["A", "B"])
         database.insert_many("T", [{"A": i, "B": i % 2} for i in range(6)])
         database.table("T").analyze()
-        database.insert_many("T", [{"A": 10, "B": 0}])  # churn since analyze
+        database.insert_many("T", [{"A": 10, "B": 0}])
         snapshot = database.snapshot()
         database.insert_many("T", [{"A": 11, "B": 1}])
         database.restore(snapshot)  # logs one load record, statistics included
         stats = database.table("T").statistics
-        assert stats.mutations_since_analyze > 0
         recovered = recover_copy(source, str(tmp_path / "copy"))
-        replayed = recovered.table("T").statistics
-        assert replayed == stats
-        assert replayed.mutations_since_analyze == stats.mutations_since_analyze
-        assert replayed.staleness_threshold == stats.staleness_threshold
+        assert recovered.table("T").statistics == stats
         recovered.close()
         database.close()
 
