@@ -4,8 +4,8 @@ Two claims of the unified-session PR are measured:
 
 * **prepared cache hit vs re-parse/re-plan** — a repeated parameterized
   point lookup through ``session.prepare()`` executes with no lexing, no
-  parsing, no analysis and no planning (the compiled plan probes the
-  table's persistent index directly); the baseline runs the same text
+  parsing, no analysis and no planning (the cached plan of the template
+  only binds the key and probes the table's persistent index); the baseline runs the same text
   through per-call :func:`repro.quel.run_query`, paying the whole
   front-end pipeline every time.  The acceptance bar is ≥ 5× at 10k
   rows.
@@ -124,7 +124,7 @@ def run_experiments(sizes=FULL_SIZES, metric=None, line=None, enforce=False):
         rng = random.Random(size + 1)
         keys = [rng.randrange(max(size // 2, 2)) for _ in range(REPEATS)]
 
-        # Answers agree between the prepared fast path and the text path.
+        # Answers agree between the prepared statement and the text path.
         probe = {"a": keys[0]}
         assert (
             prepared.execute(probe).to_relation()

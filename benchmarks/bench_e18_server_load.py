@@ -61,7 +61,7 @@ MAX_FIRST_PAGE_RATIO = 0.5
 
 def make_server(table_rows: int):
     """A served database with one BIG table: A unique and indexed (so the
-    point-read workload hits the prepared index fast path and the
+    point-read workload's prepared plan probes the index and the
     measurement is dominated by the service, not by table scans), B a
     97-ary hash."""
     database = Database("e18", metrics=MetricsRegistry())

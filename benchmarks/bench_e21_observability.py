@@ -5,7 +5,7 @@ executor, WAL, statistics).  Its acceptance bar is that the hot paths
 the earlier benchmarks certified do not give their wins back:
 
 * **E16 prepared lookup** — ``prepared.execute`` in a tight loop.  The
-  prepared fast path is deliberately untraced (only ``Session.execute``
+  prepared statement's own ``execute`` is deliberately untraced (only ``Session.execute``
   opens a :class:`~repro.obs.QueryTrace`), so its per-call cost is a
   handful of cached-child lookups at most.
 * **E14 bulk load** — ``insert_many`` into a keyed table.  Storage-layer

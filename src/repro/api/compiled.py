@@ -4,10 +4,11 @@
 with ``execute(params) -> ResultSet`` and ``describe(params) -> str``.
 Compilation does all the per-statement work that does not depend on the
 bound parameter values — lexing and parsing already happened in the
-session, so this is name resolution, semantic analysis, strategy choice
-(e.g. which persistent index a single-range retrieve will probe) — and
-execution does only the per-call work: substitute the ``$name`` values
-and run.
+session, so this is name resolution, semantic analysis and planning
+(one :class:`~repro.quel.planner.Plan` of the ``$name`` template: join
+order, which persistent index a selection probes) — and execution does
+only the per-call work: ``plan.compile(params)`` binds the values,
+builds the operator tree, and the statement runs it.
 
 Mutations route through the storage layer's *atomic* bulk entry points
 via the :mod:`repro.exec` DML sinks (:class:`AppendSink` ≡
@@ -23,24 +24,13 @@ tree on demand.
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.errors import QuelSemanticError, StorageError
 from ..core.nulls import is_ni
-from ..core.query import (
-    And,
-    AttributeRef,
-    Comparison,
-    Parameter as CoreParameter,
-    TruthConstant,
-    bind_parameter,
-)
-from ..core.algebra import constant_predicate
-from ..core.relation import RelationSchema
+from ..core.query import bind_parameter
 from ..core.tuples import XTuple
 from ..core.xrelation import XRelation
-from ..exec.operators import Filter, IndexProbe, Project, TableScan
-from ..exec.pipeline import Pipeline, TraceStep
 from ..exec.sinks import AppendSink, DeleteSink, ReplaceSink
 from ..quel.analyzer import AnalyzedQuery, analyze
 from ..quel.ast_nodes import (
@@ -63,11 +53,7 @@ def compile_statement(database, statement) -> "CompiledStatement":
     """Compile a parsed statement against *database* (name resolution,
     analysis, physical strategy choice)."""
     if isinstance(statement, RetrieveStatement):
-        analyzed = analyze(statement, database)
-        fast = _FastRetrieve.try_compile(database, analyzed)
-        if fast is not None:
-            return fast
-        return _PlanRetrieve(database, analyzed)
+        return _PlanRetrieve(database, analyze(statement, database))
     if isinstance(statement, AppendStatement):
         return _CompiledAppend(database, statement)
     if isinstance(statement, DeleteStatement):
@@ -161,15 +147,25 @@ class CompiledStatement:
 # RETRIEVE
 # ---------------------------------------------------------------------------
 
+def _template_plan(database, analyzed: AnalyzedQuery) -> Plan:
+    """The statement's one plan: its ``$name`` template planned now, bound
+    per execution by ``plan.compile(params)``."""
+    plan = Plan(analyzed.query, database)
+    plan.logical_plan()
+    return plan
+
+
 class _PlanRetrieve(CompiledStatement):
-    """The general retrieve path: cached analysis + cost-based plan,
-    compiled to a streaming operator tree the result set drains lazily."""
+    """A retrieve: the analysed template's cost-based plan, bound and
+    compiled per execution to a streaming operator tree the result set
+    drains lazily."""
 
     def __init__(self, database, analyzed: AnalyzedQuery):
         self.database = database
         self.analyzed = analyzed
         self.parameters = analyzed.parameters
         self.into = analyzed.into
+        self.plan = _template_plan(database, analyzed)
         finder = getattr(database, "table_for_relation", None)
         tables = None
         if finder is not None and not self.into:
@@ -187,20 +183,18 @@ class _PlanRetrieve(CompiledStatement):
 
     def execute(self, params: Mapping[str, Any]) -> ResultSet:
         started = time.perf_counter()
-        query = self.analyzed.bind(params)
-        plan = Plan(query, self.database)
+        pipeline = self.plan.compile(params)
         if self.into:
             # RETRIEVE INTO creates and loads a table: it must run now.
-            answer = plan.execute()
+            answer = pipeline.run()
             rows_affected = _materialize_into(self.database, self.into, answer)
-            plan.steps.append(
+            steps = pipeline.step_lines() + [
                 f"materialize {rows_affected} row(s) into new table {self.into}"
-            )
-            return ResultSet(answer, rows_affected=rows_affected, steps=plan.steps)
-        pipeline = plan.compile()
-        # Wall time of binding + planning + compilation, read by the
-        # session's query trace to split the "plan" phase out of
-        # "execute" (overwritten on every execution).
+            ]
+            return ResultSet(answer, rows_affected=rows_affected, steps=steps)
+        # Wall time of binding + compilation, read by the session's query
+        # trace to split the "plan" phase out of "execute" (overwritten
+        # on every execution).
         self.last_plan_seconds = time.perf_counter() - started
         return ResultSet(pipeline=pipeline)
 
@@ -211,9 +205,9 @@ class _PlanRetrieve(CompiledStatement):
         bound = dict(params or {})
         for name in self.parameters:
             bound.setdefault(name, None)
-        plan = Plan(self.analyzed.bind(bound), self.database)
-        plan.execute()
-        return "\n".join(plan.steps)
+        pipeline = self.plan.compile(bound)
+        pipeline.run()
+        return "\n".join(pipeline.step_lines())
 
 
 def _materialize_into(database, name: str, answer: XRelation) -> int:
@@ -226,188 +220,6 @@ def _materialize_into(database, name: str, answer: XRelation) -> int:
     rows = list(answer.rows())
     table.insert_many(rows)
     return len(rows)
-
-
-class _FastRetrieve(CompiledStatement):
-    """The prepared-statement fast path: a fully compiled single-range
-    conjunctive retrieve.
-
-    Eligibility: one range bound to a stored table, a where clause that
-    is a conjunction of ``column θ (literal | $param)`` comparisons (or
-    absent), and no INTO.  Compilation picks the physical access path
-    once — a persistent hash index covering the equality attributes, or
-    a scan — and caches a **reusable operator-tree template with
-    parameter slots**: each execution instantiates the template (a few
-    node allocations — the probe values and filter constants resolve
-    from the bound parameters) and hands the lazy pipeline to the result
-    set, with none of the per-call analyze/plan machinery.
-    """
-
-    def __init__(
-        self,
-        database,
-        table,
-        variable: str,
-        targets: Tuple[Tuple[str, str], ...],
-        eq_probes: Tuple[Tuple[str, Callable], ...],
-        residual: Tuple[Tuple[str, str, Callable], ...],
-        index,
-        parameters: Tuple[str, ...],
-    ):
-        self.database = database
-        self.table = table
-        self.variable = variable
-        self.targets = targets
-        self.eq_probes = eq_probes
-        self.residual = residual
-        self.index = index
-        self.parameters = parameters
-        self.output_attributes = tuple(output for output, _ in targets)
-
-    # -- compilation ----------------------------------------------------------
-    @classmethod
-    def try_compile(cls, database, analyzed: AnalyzedQuery):
-        query = analyzed.query
-        if analyzed.into is not None or len(query.ranges) != 1:
-            return None
-        table_finder = getattr(database, "table_for_relation", None)
-        if table_finder is None:
-            return None
-        (variable, relation), = query.ranges.items()
-        table = table_finder(relation)
-        if table is None:
-            return None
-
-        where = query.where
-        if isinstance(where, TruthConstant):
-            conjuncts: List[Comparison] = [] if where.truth.is_true() else None
-            if conjuncts is None:
-                return None
-        elif isinstance(where, And):
-            operands = where.operands
-            if not all(isinstance(o, Comparison) for o in operands):
-                return None
-            conjuncts = list(operands)
-        elif isinstance(where, Comparison):
-            conjuncts = [where]
-        else:
-            return None
-
-        # Each conjunct must compare one column of the range against a
-        # literal or parameter; normalise so the column reads on the left.
-        flat: List[Tuple[str, str, Any]] = []
-        for conjunct in conjuncts:
-            left, right = conjunct.left, conjunct.right
-            op = conjunct.op
-            if isinstance(left, AttributeRef) and not isinstance(right, AttributeRef):
-                flat.append((left.attribute, op, right))
-            elif isinstance(right, AttributeRef) and not isinstance(left, AttributeRef):
-                flat.append((right.attribute, _FLIPPED[op], left))
-            else:
-                return None  # column-to-column or degenerate: generic path
-
-        def value_resolver(term):
-            if isinstance(term, CoreParameter):
-                return lambda params, _n=term.name: bind_parameter(params, _n)
-            value = term.literal
-            return lambda params, _v=value: _v
-
-        eq_attrs: Dict[str, Tuple[str, str, Any]] = {}
-        for entry in flat:
-            attribute, op, _term = entry
-            if op in ("=", "==") and attribute not in eq_attrs:
-                eq_attrs[attribute] = entry
-        # The same physical choice the cost-based planner makes for its
-        # pushed selections (one shared matcher — they cannot diverge).
-        index, consumed_attrs = table.find_equality_index(list(eq_attrs))
-        eq_attrs = {attribute: eq_attrs[attribute] for attribute in consumed_attrs}
-
-        consumed = {id(entry) for entry in eq_attrs.values()}
-        eq_probes = tuple(
-            (attribute, value_resolver(eq_attrs[attribute][2]))
-            for attribute in (index.attributes if index is not None else ())
-        )
-        residual = tuple(
-            (entry[0], entry[1], value_resolver(entry[2]))
-            for entry in flat
-            if id(entry) not in consumed
-        )
-        targets = tuple(
-            (output, ref.attribute) for output, ref in query.target
-        )
-        return cls(
-            database, table, variable, targets, eq_probes, residual,
-            index, analyzed.parameters,
-        )
-
-    # -- execution ------------------------------------------------------------
-    def _step_texts(self) -> List[str]:
-        """The template's step lines — the one source both the executed
-        pipeline trace and :meth:`describe` render from, so the two can
-        never drift apart."""
-        if self.index is not None:
-            described = " and ".join(
-                f"{self.variable}.{a} = ?" for a, _ in self.eq_probes
-            )
-            steps = [
-                f"index select {described} using index {self.index.name} "
-                f"[prepared fast path]"
-            ]
-        else:
-            steps = [f"scan {self.table.name} [prepared fast path]"]
-        for attribute, op, _resolve in self.residual:
-            steps.append(f"filter {self.variable}.{attribute} {op} ?")
-        steps.append(f"project onto {list(self.output_attributes)}")
-        return steps
-
-    def make_pipeline(self, params: Mapping[str, Any]) -> Pipeline:
-        """Instantiate the compiled template: bind the parameter slots
-        and build the single-use operator tree (probe/scan → filters →
-        project)."""
-        nodes: List[Any] = []
-        if self.index is not None:
-            probe = [resolve(params) for _, resolve in self.eq_probes]
-            node: Any = IndexProbe(
-                self.index.lookup, probe,
-                label=f"IndexProbe {self.index.name} ({self.variable})",
-            )
-        else:
-            node = TableScan(
-                self.table.relation.tuples(),
-                label=f"TableScan {self.table.name} ({self.variable})",
-            )
-        nodes.append(node)
-        for attribute, op, resolve in self.residual:
-            # The shared constant-selection kernel — the same predicate
-            # the planner's pushed selections stream through, so the fast
-            # path cannot drift on null discipline.
-            node = Filter(
-                node, constant_predicate(attribute, op, resolve(params)),
-                label=f"Filter {self.variable}.{attribute} {op} ?",
-            )
-            nodes.append(node)
-        node = Project(
-            node, self.targets, label=f"Project {list(self.output_attributes)}"
-        )
-        nodes.append(node)
-        trace = [
-            TraceStep(text, node=step_node, show_est=False)
-            for text, step_node in zip(self._step_texts(), nodes)
-        ]
-        schema = RelationSchema(self.output_attributes, name="Q")
-        return Pipeline(node, schema, trace)
-
-    def execute(self, params: Mapping[str, Any]) -> ResultSet:
-        return ResultSet(pipeline=self.make_pipeline(params))
-
-    def describe(self, params: Optional[Mapping[str, Any]] = None) -> str:
-        return "\n".join(self._step_texts())
-
-    def referenced_tables(self) -> Optional[Tuple[Any, ...]]:
-        return (self.table,)
-
-
-_FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "==": "==", "!=": "!="}
 
 
 # ---------------------------------------------------------------------------
@@ -454,11 +266,10 @@ class _CompiledDelete(CompiledStatement):
             statement.where, self.table.schema.attributes,
         )
         self.parameters = self.analyzed.parameters
+        self.plan = _template_plan(database, self.analyzed)
 
     def execute(self, params: Mapping[str, Any]) -> ResultSet:
-        query = self.analyzed.bind(params)
-        source = Plan(query, self.database).compile()
-        sink = DeleteSink(self.database, self.table, source)
+        sink = DeleteSink(self.database, self.table, self.plan.compile(params))
         count = sink.run()
         return ResultSet(
             rows_affected=count, steps=[self.describe(params)], tree=sink
@@ -481,6 +292,7 @@ class _CompiledAppend(CompiledStatement):
         self.table = _resolve_table(database, statement.relation)
         _check_assignments(self.table, statement.assignments)
         self.analyzed: Optional[AnalyzedQuery] = None
+        self.plan: Optional[Plan] = None
         #: (attribute, column-label or None, resolver or None) per assignment.
         self.columns: List[Tuple[str, Optional[str], Optional[Callable]]] = []
         parameters: List[str] = []
@@ -539,6 +351,7 @@ class _CompiledAppend(CompiledStatement):
             parameters.extend(
                 n for n in self.analyzed.parameters if n not in parameters
             )
+            self.plan = _template_plan(database, self.analyzed)
         else:
             if statement.where is not None:
                 raise QuelSemanticError(
@@ -571,16 +384,14 @@ class _CompiledAppend(CompiledStatement):
         return build
 
     def execute(self, params: Mapping[str, Any]) -> ResultSet:
-        if self.analyzed is None:
+        if self.plan is None:
             sink = AppendSink(
                 self.database, self.table,
                 literal_rows=[self._row_builder(params)(None)],
             )
         else:
-            query = self.analyzed.bind(params)
-            source = Plan(query, self.database).compile()
             sink = AppendSink(
-                self.database, self.table, source,
+                self.database, self.table, self.plan.compile(params),
                 row_builder=self._row_builder(params),
             )
         count = sink.run()
@@ -634,10 +445,10 @@ class _CompiledReplace(CompiledStatement):
         )
         parameters.extend(n for n in self.analyzed.parameters if n not in parameters)
         self.parameters = tuple(dict.fromkeys(parameters))
+        self.plan = _template_plan(database, self.analyzed)
 
     def execute(self, params: Mapping[str, Any]) -> ResultSet:
-        query = self.analyzed.bind(params)
-        source = Plan(query, self.database).compile()
+        source = self.plan.compile(params)
         assignments = self.assignments
 
         def build(old: XTuple) -> XTuple:

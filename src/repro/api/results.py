@@ -21,7 +21,7 @@ compiled :class:`~repro.exec.Pipeline` and drains it on demand —
   streaming post-statement rows.  Drain promptly (``.rows`` does) when
   statement-time answers must survive subsequent writes; serving the
   statement-time answer *after* such writes (versioned indexes / MVCC)
-  is ROADMAP item 3;
+  is the roadmap's open consistent-reads item;
 * ``.rows`` / ``len()`` / ``.first()`` / ``.scalar()`` /
   ``.to_relation()`` drain the pipeline fully and return the canonical
   minimal answer — ``.rows`` stays the stable sorted list it always was,

@@ -90,11 +90,15 @@ def _collect_operators(root) -> List[Dict[str, Any]]:
 class PreparedStatement:
     """A statement compiled once, executable many times.
 
-    The compiled form (analysis + physical strategy) is stamped with the
-    database epoch at compile time; :meth:`execute` re-compiles
-    transparently when the epoch moved (any DDL, index or ANALYZE change
-    since), so a cached plan can never silently use a dropped index or
-    miss a new one.
+    The compiled form — the analysis and one plan of the ``$name``
+    template — is stamped with the database epoch at compile time and
+    reused by every execution, which only binds the values and builds
+    the operator tree.  :meth:`execute` re-compiles transparently when
+    the epoch moved (any DDL, index or ANALYZE change since), so a
+    cached plan can never silently use a dropped index or miss a new
+    one.  Ordinary DML does not move the epoch and so does not re-plan:
+    like a generic plan, the cached one keeps the join order and access
+    paths its estimates chose until the next ANALYZE.
     """
 
     def __init__(
@@ -158,12 +162,13 @@ class Transaction:
     Entering opens a group on the catalog's undo journal and notes its
     length: from then on every change journals its exact inverse (a row
     delta its swapped delta, a DDL the opposite DDL, a wholesale load or
-    ANALYZE the prior rows and statistics).  Leaving normally commits —
-    nothing to do; an enclosing group keeps the entries.  Leaving through
-    an exception, or calling :meth:`rollback`, applies the entries above
-    the mark newest first, so undo costs what the group did, not what
-    the database holds (a wholesale load or ANALYZE in the group is
-    undone at O(table), as it was done).  A table that existed at
+    truncate the prior rows and statistics; ANALYZE journals nothing).
+    Leaving normally commits — nothing to do; an enclosing group keeps
+    the entries.  Leaving through an exception, or calling
+    :meth:`rollback`, applies the entries above the mark newest first,
+    so undo costs what the group did, not what the database holds (a
+    wholesale load or truncate in the group is undone at O(table), as
+    it was done).  A table that existed at
     :meth:`begin` and was *dropped* inside the group has no inverse and
     makes the rollback fail loudly, before undoing anything, rather than
     silently diverge; one created and dropped inside the group just
@@ -699,7 +704,8 @@ class Session:
                     self._est_error_metric.observe(
                         (node.actual_rows + 1.0) / (step.est + 1.0)
                     )
-        trace.plan = pipeline.step_lines()
+        steps = pipeline.step_lines()
+        trace.plan = steps
         if (
             error is None
             and cache_key is not None
@@ -707,9 +713,7 @@ class Session:
         ):
             relation = pipeline.completed_relation()
             if relation is not None:
-                self.result_cache.store(
-                    cache_key, relation, pipeline.step_lines()
-                )
+                self.result_cache.store(cache_key, relation, steps)
         trace.finished = True
         self._check_slow(trace)
 
@@ -748,9 +752,6 @@ class Session:
     def cached_statements(self) -> int:
         """How many prepared statements the LRU currently holds."""
         return len(self._statements)
-
-    def clear_statement_cache(self) -> None:
-        self._statements.clear()
 
     def __repr__(self) -> str:
         return (

@@ -64,10 +64,9 @@ def constant_predicate(attribute: str, op: str, constant: Any):
     """The row predicate of ``A θ k`` (5.2): TRUE iff the row is A-total
     and the comparison holds.  A null constant satisfies nothing — the
     comparison is ``ni`` on every row.  This is THE shared kernel for
-    constant selections: :func:`select_constant_rows`, the streaming
-    executor's :class:`repro.exec.Filter` nodes and the session's
-    prepared fast path all evaluate through it, so the TRUE-only null
-    discipline cannot diverge between execution paths."""
+    constant selections: :func:`select_constant_rows` and the streaming
+    executor's :class:`repro.exec.Filter` nodes both evaluate through
+    it, so the TRUE-only null discipline cannot diverge between them."""
     from .nulls import is_ni
     if is_ni(constant):
         return lambda row: False

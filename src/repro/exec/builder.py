@@ -2,7 +2,8 @@
 
 :class:`LogicalOp` is the planner's output and the executor's input: one
 estimate-annotated step of the cost-ordered plan, holding nothing but
-picklable values (core predicate AST, attribute names, constants) — an
+picklable values (core predicate AST, attribute names, constants or
+the ``$name`` placeholders a prepared plan binds per compilation) — an
 index is named by its key attributes, never held as a live object; the
 caller resolves the live index when it compiles.
 
@@ -36,10 +37,11 @@ from .predicates import pair_predicate, residual_predicate, single_variable_pred
 class LogicalOp:
     """One step of the logical plan.  ``kind`` selects the fields in use:
 
-    * ``"rename"`` — *variable*, *described* (the relation's name);
+    * ``"rename"`` — *variable*, *described* (the relation's name),
+      *index_name* (the index serving the range, ``None`` for a scan);
     * ``"index-select"`` — *variable*, *index* (the covering index's key
       attributes, in key order), *index_name*, *probe* (values in that
-      order), *described* (the equalities served), *est*;
+      order), *est*;
     * ``"select"`` — *variable*, *conjunct*, *attribute*/*op*/*constant*
       (the conjunct normalised attribute-first), *est*;
     * ``"select-var-residual"`` — *variable*, *conjunct*, *est*;
@@ -65,6 +67,16 @@ class LogicalOp:
                 setattr(self, slot, fields.pop(slot, None))
         if fields:
             raise TypeError(f"unknown logical-op fields {sorted(fields)}")
+
+    def replace(self, **fields: Any) -> "LogicalOp":
+        """A copy of this op with *fields* replaced (ops are shared by
+        every compilation of a plan, so they are copied, never edited)."""
+        copy = LogicalOp.__new__(LogicalOp)
+        for slot in self.__slots__:
+            setattr(copy, slot, getattr(self, slot))
+        for name, value in fields.items():
+            setattr(copy, name, value)
+        return copy
 
     def __repr__(self) -> str:
         return f"LogicalOp({self.kind!r}, variable={self.variable!r})"

@@ -100,8 +100,8 @@ def _pair_term_getter(term, new_variable: str):
     before the build row is renamed or joined — see
     :func:`repro.core.engine.joins.probe_join_block`); references to any
     already-combined variable read the probe row under its qualified
-    ``variable.attribute`` name.  Returns ``None`` for term shapes the
-    fast path cannot serve.
+    ``variable.attribute`` name.  Returns ``None`` for term shapes that
+    need the generic evaluator.
     """
     if isinstance(term, AttributeRef):
         if term.variable == new_variable:

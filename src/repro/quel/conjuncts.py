@@ -16,6 +16,7 @@ from ..core.query import (
     AttributeRef,
     Comparison,
     Constant,
+    Parameter,
     Predicate,
     TruthConstant,
 )
@@ -50,18 +51,27 @@ def is_equijoin(conjunct: Predicate) -> bool:
     )
 
 
+_CONSTANT_TERMS = (Constant, Parameter)
+
 _FLIPPED_OPS = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "==": "==", "!=": "!="}
+
+
+def _constant(term) -> Any:
+    """A constant term's value; a ``$name`` placeholder stands for the
+    constant it will be bound to, so it is returned as itself."""
+    return term if isinstance(term, Parameter) else term.literal
 
 
 def constant_parts(conjunct: Comparison) -> Tuple[str, str, Any]:
     """The (attribute, operator, constant) of a pushable constant
-    comparison, normalised so the attribute reads as the left side."""
+    comparison, normalised so the attribute reads as the left side.
+    The constant is a :class:`Parameter` while the query is a template."""
     if isinstance(conjunct.left, AttributeRef):
-        return conjunct.left.attribute, conjunct.op, conjunct.right.literal  # type: ignore[union-attr]
+        return conjunct.left.attribute, conjunct.op, _constant(conjunct.right)
     return (
         conjunct.right.attribute,  # type: ignore[union-attr]
         _FLIPPED_OPS[conjunct.op],
-        conjunct.left.literal,  # type: ignore[union-attr]
+        _constant(conjunct.left),
     )
 
 
@@ -79,7 +89,9 @@ def orient_links(
 
 
 def split_conjuncts(predicate: Predicate) -> Tuple[Dict[str, List[Comparison]], Optional[Predicate]]:
-    """Separate pushable single-variable conjuncts from the residual predicate."""
+    """Separate pushable single-variable conjuncts from the residual
+    predicate.  A ``$name`` placeholder counts as the constant it will
+    be bound to, so a template splits exactly as any binding of it."""
     if isinstance(predicate, TruthConstant):
         return {}, None
     pushable: Dict[str, List[Comparison]] = {}
@@ -87,7 +99,7 @@ def split_conjuncts(predicate: Predicate) -> Tuple[Dict[str, List[Comparison]], 
     for conjunct in flatten(predicate):
         if isinstance(conjunct, Comparison):
             variables = conjunct.references()
-            constant_side = isinstance(conjunct.left, Constant) or isinstance(conjunct.right, Constant)
+            constant_side = isinstance(conjunct.left, _CONSTANT_TERMS) or isinstance(conjunct.right, _CONSTANT_TERMS)
             if len(variables) == 1 and constant_side:
                 pushable.setdefault(variables[0], []).append(conjunct)
                 continue

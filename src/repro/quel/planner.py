@@ -20,15 +20,20 @@ the equivalent algebraic strategies with a System-R-style cost model
    through the joins (applied as soon as their ranges are combined),
    project onto the target list.  No rows are touched; the result is a
    list of picklable :class:`~repro.exec.builder.LogicalOp`.
-2. **Compilation** (:meth:`Plan.compile`) hands those ops, the live
-   tables and the live indexes to the one tree builder,
+2. **Compilation** (:meth:`Plan.compile`) binds the ``$name``
+   placeholders, then hands the ops, the live tables' rows and the live
+   indexes to the one tree builder,
    :func:`repro.exec.builder.build_tree`.  The tree pulls fixed-size
    tuple blocks and builds no intermediate
    :class:`~repro.core.xrelation.XRelation`.
 
-Estimates come from the tables' statistics alone, so a plan depends on
-the data and the physical design, never on what earlier executions
-observed.
+Estimates come from the tables' statistics alone and never read a
+constant's value, so a plan depends on the data and the physical
+design, never on what earlier executions observed nor on the values
+bound to its placeholders.  A prepared statement therefore plans its
+``$name`` template once (a *generic plan*) and calls
+``compile(params)`` per execution; a ``$name`` plans exactly as the
+constant it will be bound to.
 
 Every step is annotated with the optimizer's estimated and the measured
 row count (``est=…, rows=…``), so ``Plan.explain()`` doubles as a
@@ -43,10 +48,19 @@ differential harness in ``tests/test_differential_planner.py``).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..core.errors import StaleResultError
-from ..core.query import AttributeRef, Comparison, Predicate, Query
+from ..core.query import (
+    AttributeRef,
+    Comparison,
+    Parameter,
+    Predicate,
+    Query,
+    bind_parameter,
+    collect_parameters,
+    substitute_parameters,
+)
 from ..core.relation import Relation
 from ..core.xrelation import XRelation
 from ..exec.builder import LogicalOp, build_tree, join_on_text
@@ -134,7 +148,8 @@ class Plan:
     Parameters
     ----------
     query:
-        The analysed core query.
+        The analysed core query; its where clause may hold ``$name``
+        placeholders, bound per :meth:`compile`.
     database:
         Optional database the ranges came from.  When it exposes
         ``table_for_relation`` (``repro.storage.Database`` does), the
@@ -155,18 +170,24 @@ class Plan:
         self.query = query
         self.database = database
         self.block_size = block_size
+        #: The step lines of the last :meth:`execute`.
         self.steps: List[str] = []
-        #: The last compiled pipeline (set by :meth:`compile`).
-        self.pipeline: Optional[Pipeline] = None
         self._ops: Optional[List[LogicalOp]] = None
         self._start: Optional[str] = None
         self._plan_contexts: Optional[Dict[str, _RangeContext]] = None
+        self._mappings: Dict[str, Dict[str, str]] = {}
+        self._schema = None
+        #: Positions of the ops holding a ``$name`` (bound per compile).
+        self._slots: List[int] = []
+        #: Each op's step line; a slot's is rendered again once bound.
+        self._texts: List[str] = []
 
     def explain(self) -> str:
         return "\n".join(f"{i + 1}. {step}" for i, step in enumerate(self.steps))
 
     def execute(self) -> XRelation:
-        """Plan, compile, drain and return the answer x-relation."""
+        """Plan, compile, drain and return the answer x-relation (a
+        one-shot convenience for a query with no placeholders)."""
         pipeline = self.compile()
         answer = pipeline.run()
         self.steps = pipeline.step_lines()
@@ -176,7 +197,10 @@ class Plan:
     def logical_plan(self) -> List[LogicalOp]:
         """The cost-ordered logical plan (cached; pure — no rows read)."""
         if self._ops is None:
-            self._ops = self._build_logical_plan()
+            ops = self._build_logical_plan()
+            self._slots = [i for i, op in enumerate(ops) if _holds_parameter(op)]
+            self._texts = [self._step_text(op) for op in ops]
+            self._ops = ops
         return self._ops
 
     def _contexts(self) -> Dict[str, _RangeContext]:
@@ -215,6 +239,8 @@ class Plan:
         variables = list(query.ranges)
         declaration = {variable: i for i, variable in enumerate(variables)}
         contexts = self._plan_contexts = self._contexts()
+        self._mappings = {v: context.mapping for v, context in contexts.items()}
+        self._schema = query.output_schema()
 
         # Step 1: rename each range with a variable prefix (lazy — the
         # step records the logical operation; rows move only at run time).
@@ -309,6 +335,11 @@ class Plan:
             current *= _residual_factor(conjunct)
             ops.append(LogicalOp("residual", conjunct=conjunct, est=current))
 
+        # A range no index serves is scanned: its rename step says so.
+        served = {op.variable: op.index_name for op in ops if op.index is not None}
+        for op in ops[:len(variables)]:
+            op.index_name = served.get(op.variable)
+
         ops.append(LogicalOp("project", targets=[
             (output, f"{ref.variable}.{ref.attribute}")
             for output, ref in query.target
@@ -342,16 +373,12 @@ class Plan:
             estimate = DEFAULT_COST_MODEL.estimate_selection(
                 context.stats(), attribute, op, cardinality=estimate
             )
-        described = " and ".join(
-            f"{context.variable}.{a} = {by_attr[a][1]!r}" for a in index.attributes
-        )
         context.est = estimate
         context.filtered = True
         ops.append(LogicalOp(
             "index-select", variable=context.variable,
             index=index.attributes, index_name=index.name,
-            probe=[by_attr[a][1] for a in index.attributes],
-            described=described, est=estimate,
+            probe=[by_attr[a][1] for a in index.attributes], est=estimate,
         ))
         return [c for c in conjuncts if id(c) not in consumed]
 
@@ -417,9 +444,14 @@ class Plan:
     def _step_text(op: LogicalOp) -> str:
         """The logical step line (sans annotations)."""
         if op.kind == "rename":
-            return f"rename {op.described} as {op.variable}(…)"
+            access = "scan" if op.index_name is None else "rename"
+            return f"{access} {op.described} as {op.variable}(…)"
         if op.kind == "index-select":
-            return f"index select {op.described} using index {op.index_name}"
+            described = " and ".join(
+                f"{op.variable}.{a} = {value!r}"
+                for a, value in zip(op.index, op.probe)
+            )
+            return f"index select {described} using index {op.index_name}"
         if op.kind == "select":
             return f"select {op.conjunct!r} on {op.variable}"
         if op.kind == "select-var-residual":
@@ -445,35 +477,49 @@ class Plan:
         raise ValueError(f"unknown logical op kind {op.kind!r}")
 
     # -- compilation (logical plan → operator tree, via the one builder) -----
-    def compile(self) -> Pipeline:
-        """Compile the logical plan into a fresh single-use pipeline.
+    def compile(self, params: Optional[Mapping[str, Any]] = None) -> Pipeline:
+        """Bind *params* and compile the logical plan into a fresh
+        single-use pipeline.
 
-        The bare streaming tree over the live tables and indexes — first
-        rows arrive before the inputs are exhausted, and the single
-        materialisation happens when the
-        :class:`~repro.exec.pipeline.Pipeline` is drained.  The logical
-        plan is computed once.
+        This is the one binding point: every ``$name`` in a pushed
+        constant, an index probe or a residual conjunct takes its value
+        from *params* (a missing one raises
+        :class:`~repro.core.errors.QuelSemanticError`), so the cached
+        plan itself never changes.  The result is the bare streaming
+        tree over the live tables' rows and indexes — first rows arrive
+        before the inputs are exhausted, and the single materialisation
+        happens when the :class:`~repro.exec.pipeline.Pipeline` is
+        drained.  The logical plan is computed once.
         """
-        ops = self.logical_plan()
+        ops, texts = self.logical_plan(), self._texts
+        if self._slots:
+            bound = params or {}
+            ops, texts = list(ops), list(texts)
+            for i in self._slots:
+                ops[i] = _bind_op(ops[i], bound)
+                texts[i] = self._step_text(ops[i])
         contexts = self._plan_contexts
-        mappings = {v: context.mapping for v, context in contexts.items()}
         indexes = {}
         for op in ops:
             if op.index is not None:
-                index = contexts[op.variable].table.find_index(op.index)
-                if index is None:
+                index = contexts[op.variable].table.indexes.get(op.index_name)
+                if index is None or index.attributes != op.index:
                     raise StaleResultError(
                         f"index {op.index_name} was dropped after this "
                         f"query was planned; plan it again"
                     )
                 indexes[op.variable] = index
-        sources = {v: context.relation.tuples() for v, context in contexts.items()}
+        sources = {
+            v: (context.table.relation if context.table is not None
+                else context.relation).tuples()
+            for v, context in contexts.items()
+        }
         root, nodes = build_tree(
-            ops, sources, indexes, mappings, self._start, self.block_size
+            ops, sources, indexes, self._mappings, self._start, self.block_size
         )
         trace = [
-            TraceStep(self._step_text(op), est=op.est, node=node)
-            for op, node in zip(ops, nodes)
+            TraceStep(text, est=op.est, node=node)
+            for text, op, node in zip(texts, ops, nodes)
         ]
         # One version stamp per table the tree probes *live* (the inner
         # side of every index-nested-loop join); every other leaf
@@ -483,10 +529,7 @@ class Plan:
             for op, node in zip(ops, nodes) if isinstance(node, IndexNLJoin)
         ]
         self._record_plan_metrics(nodes)
-        self.pipeline = Pipeline(
-            root, self.query.output_schema(), trace, guards=guards
-        )
-        return self.pipeline
+        return Pipeline(root, self._schema, trace, guards=guards)
 
     def _record_plan_metrics(
         self, nodes: Sequence[Optional[PhysicalOperator]]
@@ -497,10 +540,10 @@ class Plan:
         The strategy is read off the operator the builder constructed
         for each combine step.
 
-        A ``Plan`` lives for one execution, so the label children are
-        resolved once per *registry* (:func:`_plan_metric_handles`) — the
-        per-compile cost is a handful of counter adds, keeping prepared
-        statements inside E21's 5% overhead gate.
+        The label children are resolved once per *registry*
+        (:func:`_plan_metric_handles`) — the per-compile cost is a
+        handful of counter adds, keeping prepared statements inside
+        E21's 5% overhead gate.
         """
         handles = registry_for(self.database).handles("planner", _plan_metric_handles)
         handles["plans"].inc()
@@ -512,8 +555,38 @@ class Plan:
 
 
 # ---------------------------------------------------------------------------
-# Conjunct classification and estimate helpers
+# Parameter binding, conjunct classification and estimate helpers
 # ---------------------------------------------------------------------------
+
+def _holds_parameter(op: LogicalOp) -> bool:
+    """Whether *op* holds a ``$name`` placeholder.  A join's fused
+    residual never does: a comparison with a placeholder mentions at
+    most one range, so it is pushed, never fused."""
+    if op.kind == "select":
+        return isinstance(op.constant, Parameter)
+    if op.kind == "index-select":
+        return any(isinstance(value, Parameter) for value in op.probe)
+    if op.kind in ("select-var-residual", "residual"):
+        return bool(collect_parameters(op.conjunct))
+    return False
+
+
+def _bind_op(op: LogicalOp, params: Mapping[str, Any]) -> LogicalOp:
+    """A copy of an op holding placeholders with each bound from
+    *params* (the plan's own ops are never edited)."""
+    if op.kind == "select":
+        return op.replace(
+            conjunct=substitute_parameters(op.conjunct, params),
+            constant=bind_parameter(params, op.constant.name),
+        )
+    if op.kind == "index-select":
+        return op.replace(probe=[
+            bind_parameter(params, value.name)
+            if isinstance(value, Parameter) else value
+            for value in op.probe
+        ])
+    return op.replace(conjunct=substitute_parameters(op.conjunct, params))
+
 
 def _residual_factor(conjunct: Predicate) -> float:
     if isinstance(conjunct, Comparison):

@@ -38,10 +38,6 @@ class StatementGate:
         self._owner: Optional[Any] = None
         self._pinned = False
 
-    @property
-    def pinned_owner(self) -> Optional[Any]:
-        return self._owner if self._pinned else None
-
     @asynccontextmanager
     async def shared(self, owner: Any):
         """Hold the gate for a reading statement from *owner*."""

@@ -198,34 +198,6 @@ class Catalog:
             self._record(self._uncreate, table)
         return table
 
-    def register_table(self, table: Table) -> Table:
-        if table.name in self._tables:
-            raise StorageError(f"table {table.name!r} already exists")
-        with self._wal_lock():
-            # Logged as a create plus a load: replay rebuilds the table
-            # from its schema and current rows (pre-registration history
-            # is unknowable here).
-            self._log(self._create_record(table))
-            if table.rows():
-                self._log({
-                    "op": "load",
-                    "table": table.name,
-                    "rows": list(table.rows()),
-                })
-            for index_name, attributes in table.index_specs().items():
-                self._log({
-                    "op": "create_index",
-                    "table": table.name,
-                    "name": index_name,
-                    "attributes": attributes,
-                })
-            table._wal = self._wal
-            table._journal = self._journal
-            self._tables[table.name] = table
-            self._ddl_epoch += 1
-            self._record(self._uncreate, table)
-        return table
-
     def drop_table(self, name: str) -> None:
         if name not in self._tables:
             raise StorageError(f"no table named {name!r}")

@@ -159,9 +159,6 @@ class Table:
     def __iter__(self):
         return iter(self.relation)
 
-    def as_relation(self) -> Relation:
-        return self.relation
-
     def as_xrelation(self) -> XRelation:
         return XRelation(self.relation)
 
@@ -255,10 +252,9 @@ class Table:
         and the attribute subset it covers — the index matching the full
         attribute *set* when one exists, otherwise the first
         single-attribute index among them (the remaining equalities stay
-        as ordinary filters).  ``(None, ())`` when nothing applies.  Both
-        the cost-based planner's pushed selections and the session's
-        prepared fast path make this choice through here, so they can
-        never diverge on the access path for the same conjuncts.
+        as ordinary filters).  ``(None, ())`` when nothing applies.  The
+        planner's pushed selections make this choice through here, for
+        ad-hoc queries and prepared statements alike.
         """
         wanted = tuple(attributes)
         if not wanted:

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from hypothesis import assume, given, settings, strategies as st
 
-from repro.core.errors import QuelSemanticError
+from repro.core.errors import AlgebraError, QuelSemanticError
+from repro.core.nulls import NI
 from repro.core.query import (
     And,
     AttributeRef,
@@ -184,8 +185,25 @@ def test_plan_explain_never_leaks_fused_equalities(query):
 # ---------------------------------------------------------------------------
 
 @st.composite
-def quel_texts(draw):
-    """Random QUEL source with conjuncts and multi-attribute equality links."""
+def quel_texts(draw, parameters: bool = False):
+    """Random QUEL source with conjuncts and multi-attribute equality links.
+
+    With *parameters* the text is a prepared-statement template: any
+    constant may be a ``$pN`` placeholder, a constant comparison may read
+    constant-first (``$p0 < v0.A``), and a clause may be a disjunction,
+    so placeholders land in pushed, index-served, flipped and residual
+    positions alike."""
+    names = []
+
+    def constant() -> str:
+        if parameters and draw(st.integers(0, 2)):
+            names.append(f"p{len(names)}")
+            return f"${names[-1]}"
+        return str(draw(st.integers(0, 3)))
+
+    def column() -> str:
+        return f"{draw(st.sampled_from(variables))}.{draw(st.sampled_from(ATTRIBUTES))}"
+
     count = draw(st.integers(min_value=1, max_value=3))
     variables = [f"v{i}" for i in range(count)]
     lines = [
@@ -199,15 +217,25 @@ def quel_texts(draw):
     )
     lines.append(f"retrieve ({outputs})")
     clauses = []
-    for _ in range(draw(st.integers(min_value=0, max_value=3))):
-        kind = draw(st.sampled_from(["const", "eq", "eq", "cmp"]))
-        left = f"{draw(st.sampled_from(variables))}.{draw(st.sampled_from(ATTRIBUTES))}"
+    kinds = ["const", "eq", "eq", "cmp"] + (["const", "or", "or"] if parameters else [])
+    for _ in range(draw(st.integers(min_value=int(parameters), max_value=3))):
+        kind = draw(st.sampled_from(kinds))
+        left = column()
         if kind == "const":
-            clauses.append(f"{left} {draw(st.sampled_from(OPS))} {draw(st.integers(0, 3))}")
+            # Templates favour equality: it is what an index serves.
+            op = draw(st.sampled_from(OPS + ("=", "=") * parameters))
+            if parameters and draw(st.booleans()):
+                clauses.append(f"{constant()} {op} {left}")
+            else:
+                clauses.append(f"{left} {op} {constant()}")
+        elif kind == "or":
+            clauses.append(
+                f"({left} {draw(st.sampled_from(OPS))} {constant()} "
+                f"or {column()} {draw(st.sampled_from(OPS))} {column()})"
+            )
         else:
             op = "=" if kind == "eq" else draw(st.sampled_from(OPS))
-            right = f"{draw(st.sampled_from(variables))}.{draw(st.sampled_from(ATTRIBUTES))}"
-            clauses.append(f"{left} {op} {right}")
+            clauses.append(f"{left} {op} {column()}")
     if clauses:
         lines.append("where " + " and ".join(clauses))
     return "\n".join(lines)
@@ -321,14 +349,15 @@ def test_step_counts_match_tree_actuals_and_oracle_on_total_rows(database, text)
         query = compile_text(text, database)
     except QuelSemanticError:
         assume(False)
-    plan = Plan(query, database)
-    answer = plan.execute()
+    pipeline = Plan(query, database).compile()
+    answer = pipeline.run()
+    steps = pipeline.step_lines()
     oracle = evaluate_lower_bound(query)
     assert answer == oracle
-    assert plan.steps[-1].endswith(f"[rows={len(oracle)}]")
-    tree = plan.pipeline.explain(analyze=True).splitlines()
-    assert len(plan.steps) == len(plan.pipeline.trace)
-    for step, line in zip(plan.pipeline.trace, plan.steps):
+    assert steps[-1].endswith(f"[rows={len(oracle)}]")
+    tree = pipeline.explain(analyze=True).splitlines()
+    assert len(steps) == len(pipeline.trace)
+    for step, line in zip(pipeline.trace, steps):
         node = step.node
         if node is None:
             continue  # a rename step: no operator of its own
@@ -416,3 +445,63 @@ def test_cache_enabled_session_never_serves_stale_answers(
             if tuple(attributes) not in existing:
                 table.create_index(attributes)
         check()
+
+
+# ---------------------------------------------------------------------------
+# Plan once, bind per execution: a template plan ≡ a plan of the bound query
+# ---------------------------------------------------------------------------
+
+#: Values bound to placeholders: in-domain integers, both null spellings,
+#: and a value of the wrong type for every column.
+BINDINGS = st.sampled_from((0, 1, 2, 3, None, NI, "x"))
+
+
+def _outcome(run):
+    """The answer of *run*, or the error class an ill-typed order
+    comparison raises (which rows reach that comparison, and so whether
+    it raises, depends on the evaluation order)."""
+    try:
+        return run()
+    except AlgebraError:
+        return AlgebraError
+
+
+def _shape(ops):
+    return [(op.kind, op.variable, op.index_name) for op in ops]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(indexed_databases(), quel_texts(parameters=True), st.data())
+def test_template_plan_binds_like_a_plan_of_the_bound_query(database, text, data):
+    """A prepared statement plans its ``$name`` template once and binds
+    per execution: ``Plan(template).compile(params)`` must run the plan a
+    fresh ``Plan`` of the bound query would choose — same op kinds,
+    variables and indexes in the same order, the same step lines with
+    the bound constants in them — and answer what it and the tuple
+    oracle answer."""
+    from repro.quel.evaluator import compile_query
+
+    if data.draw(st.booleans(), label="index A"):
+        # An equality on A is then served by an index probe.
+        for name in ("R1", "R2"):
+            if database.table(name).find_index(["A"]) is None:
+                database.table(name).create_index(["A"])
+    try:
+        analyzed = compile_query(text, database)
+    except QuelSemanticError:
+        assume(False)
+    params = {name: data.draw(BINDINGS, label=name) for name in analyzed.parameters}
+    bound = analyzed.bind(params)
+    template = Plan(analyzed.query, database)
+    fresh = Plan(bound, database)
+    assert _shape(template.logical_plan()) == _shape(fresh.logical_plan())
+
+    pipeline = template.compile(params)
+    answer = _outcome(pipeline.run)
+    assert answer == _outcome(fresh.execute)
+    if answer is AlgebraError:
+        return
+    assert pipeline.step_lines() == fresh.steps
+    oracle = _outcome(lambda: evaluate_lower_bound(bound))
+    if oracle is not AlgebraError:
+        assert answer == oracle

@@ -406,18 +406,19 @@ class TestStreamingContract:
         from repro.quel.evaluator import compile_query
 
         query = compile_query(self.QUERY, database).query
-        plan = Plan(query, database)
-        answer = plan.execute()
+        pipeline = Plan(query, database).compile()
+        answer = pipeline.run()
+        steps = pipeline.step_lines()
         oracle = evaluate_lower_bound(query)
         assert answer == oracle
         # On null-free data nothing streamed is dominated: the project
         # step's measured rows are the answer's.
-        assert plan.steps[-1].endswith(f"[rows={len(oracle)}]")
+        assert steps[-1].endswith(f"[rows={len(oracle)}]")
         # Every step's rows= is its own node's actual rows= in the tree.
-        tree = plan.pipeline.explain(analyze=True)
+        tree = pipeline.explain(analyze=True)
         assert re.search(r"est=\d+ actual rows=\d+ time=\d+\.\d+ms", tree)
         measured = 0
-        for step, line in zip(plan.pipeline.trace, plan.steps):
+        for step, line in zip(pipeline.trace, steps):
             if step.node is None:
                 continue
             measured += 1

@@ -12,8 +12,10 @@ Pins the tentpole invariants of the unified client surface:
   physical choice;
 * ``transaction()`` rollback leaves the database snapshot-equal to its
   pre-transaction state under hypothesis-generated statement groups;
-* the prepared fast path agrees with the Section 5 tuple oracle on
-  arbitrary single-range conjunctive queries (with and without indexes).
+* a prepared statement plans its ``$name`` template once per epoch and
+  binds values per execution;
+* prepared single-range conjunctive retrieves agree with the Section 5
+  tuple oracle (with and without indexes).
 """
 
 import pytest
@@ -141,12 +143,12 @@ class TestPreparedStatements:
             prepared.execute()
 
     def test_explain_without_params_works_on_every_path(self, session, db):
-        """explain() must not require bound parameters, whichever internal
-        strategy (fast path or generic plan) the statement compiled to."""
-        fast = session.explain(
+        """explain() must not require bound parameters, for single-range
+        and join plans alike."""
+        single = session.explain(
             'range of e is EMP retrieve (e.NAME) where e.E# = $k'
         )
-        assert "scan" in fast or "index" in fast
+        assert "scan" in single or "index" in single
         db.create_table("DEPT2", ["D#", "MGR#"])
         generic = session.explain(
             'range of d is DEPT2 range of e is EMP '
@@ -227,6 +229,57 @@ class TestPlanCacheInvalidation:
         epoch = db.epoch
         db.drop_table("TMP")
         assert db.epoch > epoch
+
+
+class TestPlanOnce:
+    """A prepared statement plans its ``$name`` template once per epoch;
+    each execution only binds the values and builds the operator tree."""
+
+    @pytest.fixture
+    def plans(self, monkeypatch):
+        """Every logical plan built while the test runs."""
+        from repro.quel.planner import Plan
+
+        built = []
+        original = Plan._build_logical_plan
+
+        def counting(plan):
+            built.append(plan)
+            return original(plan)
+
+        monkeypatch.setattr(Plan, "_build_logical_plan", counting)
+        return built
+
+    def test_prepared_retrieve_plans_once(self, session, db, plans):
+        emp = db.table("EMP")
+        emp.insert_many([(k, f"N{k}", k) for k in range(10, 60)])
+        emp.create_index(["E#"], name="emp_e")
+        prepared = session.prepare(
+            'range of e is EMP retrieve (e.NAME) where e.E# = $k'
+        )
+        for k in range(10, 60):
+            result = session.execute_prepared(prepared, {"k": k})
+            assert [r["e_NAME"] for r in result] == [f"N{k}"]
+        assert len(plans) == 1
+        # The cached plan's explain and trace show the bound constant.
+        assert "index select e.E# = 2 using index emp_e" in prepared.explain({"k": 2})
+        assert session.execute_prepared(prepared, {"k": 2}).rows
+        assert "index select e.E# = 2 using index emp_e" in "\n".join(
+            session.recent_traces()[-1].plan
+        )
+        assert len(plans) == 1
+
+    def test_prepared_replace_plans_once(self, session, db, plans):
+        db.table("EMP").insert_many([(k, f"N{k}", 0) for k in range(10, 60)])
+        prepared = session.prepare(
+            'range of e is EMP replace e (SAL = $s) where e.E# = $k'
+        )
+        for k in range(10, 60):
+            result = session.execute_prepared(prepared, {"k": k, "s": k + 1})
+            assert result.rows_affected == 1
+            assert f"Filter e.E# = {k}" in result.explain(analyze=True)
+        assert len(plans) == 1
+        assert XTuple({"E#": 59, "NAME": "N59", "SAL": 60}) in db["EMP"].tuples()
 
 
 class TestStaleResults:
@@ -616,7 +669,7 @@ class _InnerAbort(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Hypothesis: the prepared fast path ≡ the Section 5 tuple oracle
+# Hypothesis: prepared single-range retrieves ≡ the Section 5 tuple oracle
 # ---------------------------------------------------------------------------
 
 _OPS = ("=", "!=", "<", "<=", ">", ">=")
