@@ -34,7 +34,8 @@ from typing import Any, Iterable, List, Optional, Sequence, Union
 from . import setops
 from .errors import AlgebraError, AttributeNotFound
 from .relation import Relation, RelationSchema
-from .threevalued import compare
+from .nulls import NULL_CLASSES
+from .threevalued import compare, comparison_function
 from .tuples import XTuple
 from .xrelation import XRelation, as_xrelation
 
@@ -60,36 +61,59 @@ def _wrap(schema: RelationSchema, rows: Iterable[XTuple]) -> XRelation:
 # Selection (5.1), (5.2) — row-level kernels first, relation wrappers below
 # ---------------------------------------------------------------------------
 
-def constant_predicate(attribute: str, op: str, constant: Any):
-    """The row predicate of ``A θ k`` (5.2): TRUE iff the row is A-total
-    and the comparison holds.  A null constant satisfies nothing — the
-    comparison is ``ni`` on every row.  This is THE shared kernel for
-    constant selections: :func:`select_constant_rows` and the streaming
-    executor's :class:`repro.exec.Filter` nodes both evaluate through
-    it, so the TRUE-only null discipline cannot diverge between them."""
-    from .nulls import is_ni
-    if is_ni(constant):
-        return lambda row: False
+def comparison_holds(left: Any, func, right: Any, op: str) -> bool:
+    """Whether ``left θ right`` is TRUE — THE comparison kernel.
 
-    def predicate(row: XTuple, _a=attribute, _op=op, _k=constant) -> bool:
-        value = row._lookup.get(_a)  # _lookup stores only non-null bindings
-        return value is not None and compare(value, _op, _k).is_true()
+    *func* is *op* resolved once (:func:`comparison_function`).  A null
+    of any kind on either side is never TRUE (Section 5); otherwise the
+    native operator decides, and a ``TypeError`` defers to
+    :func:`~repro.core.threevalued.compare`'s mismatch rule (FALSE for
+    ``=``, TRUE for ``!=``, :class:`AlgebraError` for an order operator).
+    :func:`constant_selection` is the same test inlined over a block."""
+    if left.__class__ in NULL_CLASSES or right.__class__ in NULL_CLASSES:
+        return False
+    try:
+        return bool(func(left, right))
+    except TypeError:
+        return compare(left, op, right).is_true()
 
-    return predicate
+
+def constant_selection(rows: Sequence[XTuple], attribute: str, func, constant: Any, op: str) -> List[XTuple]:
+    """The rows of a block on which ``A θ k`` (5.2) is TRUE, in order.
+
+    :func:`comparison_holds` as one comprehension: a row is kept iff it
+    binds *attribute* to a non-null ``v`` (``_lookup`` holds no ``ni``,
+    but a stored marked or unknown null is present, hence the class
+    test) and ``func(v, constant)`` holds.  A ``TypeError`` redoes the
+    block row by row through :func:`comparison_holds`.  The executor's
+    leaves run every pushed constant comparison through this."""
+    if constant.__class__ in NULL_CLASSES:
+        return []
+    try:
+        return [
+            r for r in rows
+            if (v := r._lookup.get(attribute)).__class__ not in NULL_CLASSES
+            and func(v, constant)
+        ]
+    except TypeError:
+        return [
+            r for r in rows
+            if comparison_holds(r._lookup.get(attribute), func, constant, op)
+        ]
 
 
 def select_constant_rows(rows: Iterable[XTuple], attribute: str, op: str, constant: Any) -> List[XTuple]:
     """The row-level kernel of ``R[A θ k]``: keep the rows that are
-    A-total and satisfy the comparison (see :func:`constant_predicate`)."""
-    predicate = constant_predicate(attribute, op, constant)
-    return [r for r in rows if predicate(r)]
+    A-total and satisfy the comparison (see :func:`constant_selection`)."""
+    return constant_selection(list(rows), attribute, comparison_function(op), constant, op)
 
 
 def select_predicate_rows(rows: Iterable[XTuple], predicate) -> List[XTuple]:
     """The row-level kernel of the generalised selection: keep the rows on
-    which *predicate* evaluates to TRUE (a :class:`TruthValue` or bool)."""
-    from .threevalued import truth_of
-    return [r for r in rows if truth_of(predicate(r)).is_true()]
+    which *predicate* evaluates to TRUE.  It may return a bool or a
+    :class:`~repro.core.threevalued.TruthValue`, whose truthiness is
+    "definitely TRUE", so FALSE and ``ni`` both drop the row."""
+    return [r for r in rows if predicate(r)]
 
 
 def rename_rows(rows: Iterable[XTuple], mapping) -> List[XTuple]:
@@ -124,9 +148,10 @@ def select_attributes(relation: RelationLike, left: str, op: str, right: str) ->
     for attribute in (left, right):
         if attribute not in rep.schema:
             raise AttributeNotFound(attribute, rep.schema.attributes)
+    func = comparison_function(op)
     rows = [
         r for r in rep.tuples()
-        if r.is_total_on((left, right)) and compare(r[left], op, r[right]).is_true()
+        if comparison_holds(r._lookup.get(left), func, r._lookup.get(right), op)
     ]
     schema = RelationSchema(
         rep.schema.attributes, rep.schema.domains(),

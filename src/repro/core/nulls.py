@@ -173,6 +173,12 @@ class MarkedNull:
 #: All classes that the library recognises as "some kind of null".
 NULL_TYPES = (NoInformationNull, UnknownNull, NonexistentNull, MarkedNull)
 
+#: The same classes plus ``None``'s, as a set: ``v.__class__ in
+#: NULL_CLASSES`` is :func:`is_null` as one set probe (no null class is
+#: ever subclassed), which is what the comparison kernels' per-row null
+#: test costs.
+NULL_CLASSES = frozenset(NULL_TYPES + (type(None),))
+
 
 def is_null(value: Any) -> bool:
     """Return ``True`` when *value* is a null of any interpretation.

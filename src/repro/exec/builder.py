@@ -9,16 +9,20 @@ caller resolves the live index when it compiles.
 
 :func:`build_tree` is the only place logical ops become physical
 operators.  Its caller passes the live table rows and the live indexes
-the plan named, and gets the bare streaming tree — :class:`IndexProbe`
-leaves, :class:`IndexNLJoin` probes, first rows out before the inputs
-are exhausted.
+the plan named, and gets the bare streaming tree — one leaf per range
+(:class:`TableScan` or :class:`IndexProbe`) with every selection pushed
+onto the range fused into its loop, :class:`IndexNLJoin` probes, first
+rows out before the inputs are exhausted.  A pushed ``A θ k`` reaches
+its leaf as plain data (attribute, the operator resolved once, the
+bound constant), so binding a prepared plan's ops builds no closure for
+it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Collection, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Collection, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from ..core.algebra import constant_predicate
+from ..core.threevalued import comparison_function
 from ..core.tuples import XTuple
 from .operators import (
     Filter,
@@ -110,20 +114,26 @@ def build_tree(
     renaming in declaration order, *start* is the range the combined
     stream begins with.
 
-    The tree builds **no** intermediate ``XRelation``: pushed selections
-    are :class:`Filter` nodes over the unrenamed base rows, joins bucket
-    only the (filtered, unrenamed) build side and rename only matched
-    rows, residual conjuncts filter rows in flight.
+    Each range is **one leaf** — an :class:`IndexProbe` when an
+    ``index-select`` serves it, a :class:`TableScan` otherwise — that
+    applies every pushed single-range conjunct (``select``,
+    ``select-var-residual``) in the same pass over the unrenamed base
+    rows, so every pushed step maps to its range's leaf and the leaf's
+    label lists a ``Filter …`` per conjunct.  The tree builds **no**
+    intermediate ``XRelation``: joins bucket only the (filtered,
+    unrenamed) build side and rename only matched rows, residual
+    conjuncts filter rows in flight.
     """
     variables = list(mappings)
     names = {op.variable: op.described for op in ops if op.kind == "rename"}
-    chains: Dict[str, PhysicalOperator] = {}
+    leaves: Dict[str, Union[TableScan, IndexProbe]] = {}
+    filters: Dict[str, List[str]] = {}
 
-    def scan(variable: str) -> PhysicalOperator:
-        node = chains.get(variable)
+    def leaf(variable: str) -> Union[TableScan, IndexProbe]:
+        node = leaves.get(variable)
         if node is None:
             rows = sources.get(variable, ())
-            node = chains[variable] = TableScan(
+            node = leaves[variable] = TableScan(
                 rows,
                 label=f"TableScan {names.get(variable, variable)} ({variable})",
                 est=float(len(rows)), block_size=block_size,
@@ -139,7 +149,7 @@ def build_tree(
     def combined_node() -> PhysicalOperator:
         nonlocal combined
         if combined is None:
-            base = scan(start)
+            base = leaf(start)
             combined = Rename(
                 base, mappings[start], label=f"Rename {start}.*",
                 est=base.est, block_size=block_size,
@@ -150,25 +160,27 @@ def build_tree(
     for op in ops:
         node: Optional[PhysicalOperator] = None
         if op.kind == "index-select":
-            node = chains[op.variable] = IndexProbe(
+            # The planner emits a range's index-select before its other
+            # pushed selections, so no scan was started for it.
+            node = leaves[op.variable] = IndexProbe(
                 indexes[op.variable].lookup, op.probe,
                 label=f"IndexProbe {op.index_name} ({op.variable})",
                 est=op.est, block_size=block_size,
             )
         elif op.kind == "select":
-            node = chains[op.variable] = Filter(
-                scan(op.variable),
-                constant_predicate(op.attribute, op.op, op.constant),
-                label=f"Filter {op.variable}.{op.attribute} {op.op} {op.constant!r}",
-                est=op.est, block_size=block_size,
+            node = leaf(op.variable)
+            node.tests.append((op.attribute, comparison_function(op.op), op.constant, op.op))
+            filters.setdefault(op.variable, []).append(
+                f" | Filter {op.variable}.{op.attribute} {op.op} {op.constant!r}"
             )
+            node.est = op.est
         elif op.kind == "select-var-residual":
-            node = chains[op.variable] = Filter(
-                scan(op.variable),
-                single_variable_predicate(op.conjunct, op.variable),
-                label=f"Filter {op.conjunct!r} ({op.variable})",
-                est=op.est, block_size=block_size,
+            node = leaf(op.variable)
+            node.tests.append(
+                (None, single_variable_predicate(op.conjunct, op.variable), None, None)
             )
+            filters.setdefault(op.variable, []).append(f" | Filter {op.conjunct!r}")
+            node.est = op.est
         elif op.kind == "join":
             on = join_on_text(op.pairs)
             residual = (
@@ -192,7 +204,7 @@ def build_tree(
                 )
             else:
                 node = HashJoin(
-                    combined_node(), scan(op.variable),
+                    combined_node(), leaf(op.variable),
                     [new.attribute for _, new in op.pairs],
                     [f"{old.variable}.{old.attribute}" for old, _ in op.pairs],
                     transform_for(op.variable), residual=residual,
@@ -202,7 +214,7 @@ def build_tree(
             combined = node
         elif op.kind == "product":
             combined = node = Product(
-                combined_node(), scan(op.variable), transform_for(op.variable),
+                combined_node(), leaf(op.variable), transform_for(op.variable),
                 label=f"Product with {op.variable}",
                 est=op.est, block_size=block_size,
             )
@@ -215,10 +227,10 @@ def build_tree(
         elif op.kind == "project":
             if combined is None:
                 # A single-range plan: nothing was joined, so the targets
-                # read the bare attributes straight off the range's chain
+                # read the bare attributes straight off the range's leaf
                 # — no Rename node, one tuple built per row instead of two.
                 bare = {qualified: a for a, qualified in mappings[start].items()}
-                source = scan(start)
+                source = leaf(start)
                 targets = [(output, bare[q]) for output, q in op.targets]
             else:
                 source, targets = combined, op.targets
@@ -230,4 +242,7 @@ def build_tree(
         elif op.kind != "rename":
             raise ValueError(f"unknown logical op kind {op.kind!r}")
         nodes.append(node)
+    for variable, texts in filters.items():
+        leaves[variable].label += "".join(texts)
     return combined_node(), nodes
+

@@ -11,6 +11,13 @@ which also instruments the node: every node records the rows it produced
 iterator (inclusive of its children, like ``EXPLAIN ANALYZE``), so a
 drained tree doubles as a per-operator execution audit.
 
+The leaves (:class:`TableScan`, :class:`IndexProbe`) are data-centric
+in the sense of Neumann's compiled pipelines (PVLDB 4(9), 2011), done
+with Python loops: a range's scan and every selection pushed onto it
+run as one loop over block-sized slices of the snapshot, each constant
+comparison one list comprehension over the survivors, so a range costs
+one node however many conjuncts it carries.
+
 Non-blocking operators (:class:`Filter`, :class:`Rename`,
 :class:`Project`, the probe sides of :class:`HashJoin` /
 :class:`IndexNLJoin`, :class:`Product`) stream rows through without ever
@@ -18,7 +25,7 @@ building an intermediate :class:`~repro.core.xrelation.XRelation`; the
 blocking ones (:class:`Reduce`, :class:`Materialize`, the build sides of
 the joins) drain their input first, exactly where a pipeline breaker is
 semantically required.  Row-level semantics come from the kernels in
-:mod:`repro.core.algebra` (``constant_predicate`` /
+:mod:`repro.core.algebra` (``constant_selection`` /
 ``select_predicate_rows``) and :mod:`repro.core.engine.joins`
 (``build_join_buckets`` / ``probe_join_block``) — the same ones the
 relation-level algebra uses, so the operators cannot drift from it on
@@ -32,7 +39,7 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from ..core.algebra import select_predicate_rows
+from ..core.algebra import constant_selection, select_predicate_rows
 from ..core.engine.dominance import bulk_reduce
 from ..core.engine.joins import build_join_buckets, probe_join_block
 from ..core.relation import Relation, RelationSchema
@@ -131,8 +138,48 @@ class PhysicalOperator:
 # Leaf sources
 # ---------------------------------------------------------------------------
 
-class TableScan(PhysicalOperator):
-    """Stream the stored rows of a range, one block at a time.
+class _Leaf(PhysicalOperator):
+    """A range's rows with its pushed selections fused in: one loop.
+
+    Subclasses set ``source`` (the statement-time row snapshot, released
+    once streamed) and ``tests`` (the pushed selections, which the tree
+    builder appends in plan order).  The snapshot is cut into
+    ``block_size`` slices; each slice loses its
+    null tuples (rows binding nothing: information-free, Definition 4.6
+    drops them from every minimal form and the oracle never binds one),
+    then passes *tests* in plan order, each as one pass over the
+    survivors of the tests before it — exactly the evaluations a chain
+    of one :class:`Filter` per conjunct makes, with no generator per
+    conjunct.  A test is plain data: ``(attribute, func, constant, op)``
+    for a constant comparison ``A θ k`` (run as one comprehension by
+    :func:`~repro.core.algebra.constant_selection`, *func* being *op*
+    resolved once), or ``(None, predicate, None, None)`` for any other
+    shape, one predicate call per row.  A first test that compares a
+    constant drops the null tuples itself (they bind no attribute).
+    Non-empty survivor lists are the emitted blocks.
+    """
+
+    def _blocks(self) -> Iterator[Block]:
+        source, self.source = self.source, []  # released once streamed
+        tests, size = self.tests, self.block_size
+        drop_nulls = not tests or tests[0][0] is None
+        for start in range(0, len(source), size):
+            rows = source[start:start + size]
+            if drop_nulls:
+                rows = [r for r in rows if r._items]
+            for attribute, func, constant, op in tests:
+                if not rows:
+                    break
+                if attribute is None:
+                    rows = [r for r in rows if func(r)]
+                else:
+                    rows = constant_selection(rows, attribute, func, constant, op)
+            if rows:
+                yield rows
+
+
+class TableScan(_Leaf):
+    """Stream the stored rows of a range, pushed selections fused in.
 
     *rows* is the row iterable — typically the live
     ``relation.tuples()`` of a stored table — snapshotted **at
@@ -140,26 +187,17 @@ class TableScan(PhysicalOperator):
     executes, so a lazy result set keeps statement-time snapshot
     semantics (the row *references* are captured, not copies), and a
     mutation between execution and iteration can neither crash the drain
-    mid-set nor leak post-statement rows into the answer.  Null tuples
-    (rows binding nothing) are information-free and skipped (Definition
-    4.6 drops them from every minimal form; the oracle never binds one).
+    mid-set nor leak post-statement rows into the answer.  *tests* are
+    the range's pushed selections (see :class:`_Leaf`).
     """
 
-    def __init__(self, rows: Iterable[XTuple], **kwargs: Any):
+    def __init__(self, rows: Iterable[XTuple], tests: Sequence[Tuple] = (), **kwargs: Any):
         super().__init__((), **kwargs)
         self.source = list(rows)
-
-    def _blocks(self) -> Iterator[Block]:
-        def rows() -> Iterator[XTuple]:
-            for row in self.source:
-                if not row.is_null_tuple():
-                    yield row
-            self.source = []  # release the snapshot once fully streamed
-
-        return self._reblock(rows())
+        self.tests = list(tests)
 
 
-class IndexProbe(PhysicalOperator):
+class IndexProbe(_Leaf):
     """Serve a pushed equality selection from one persistent-index bucket.
 
     *lookup* is the bound :meth:`HashIndex.lookup` of the covering index;
@@ -168,25 +206,21 @@ class IndexProbe(PhysicalOperator):
     :class:`TableScan` — the live bucket view must not be iterated while
     later mutations resize it).  Rows null on a probed attribute are
     absent from the bucket by the index's own protocol, exactly the
-    TRUE-only equality semantics.
+    TRUE-only equality semantics.  The range's other pushed selections
+    are *tests*, applied to the bucket as in :class:`TableScan`.
     """
 
     def __init__(
         self,
         lookup: Callable[[Sequence[Any]], Iterable[XTuple]],
         probe: Sequence[Any],
+        tests: Sequence[Tuple] = (),
         **kwargs: Any,
     ):
         super().__init__((), **kwargs)
         self.probe = tuple(probe)
-        self.bucket = list(lookup(self.probe))
-
-    def _blocks(self) -> Iterator[Block]:
-        def rows() -> Iterator[XTuple]:
-            yield from self.bucket
-            self.bucket = []  # release the snapshot once fully streamed
-
-        return self._reblock(rows())
+        self.source = list(lookup(self.probe))
+        self.tests = list(tests)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +233,9 @@ class Filter(PhysicalOperator):
     *predicate* is a plain row predicate returning a bool or a
     :class:`~repro.core.threevalued.TruthValue`; only TRUE keeps the row
     (the Section 5 lower-bound discipline), via the shared
-    :func:`repro.core.algebra.select_predicate_rows` kernel.
+    :func:`repro.core.algebra.select_predicate_rows` kernel.  Planned
+    trees use it for residual conjuncts over the combined stream; a
+    range's own pushed selections run inside its leaf instead.
     """
 
     def __init__(self, child: PhysicalOperator, predicate, **kwargs: Any):

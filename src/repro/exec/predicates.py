@@ -13,18 +13,24 @@ function its operator calls, through the three entry points here:
   built.  The planner calls it too: a conjunct is fused exactly when it
   compiles here.
 
-Conjunctions of plain comparisons compile to direct value getters;
-every other shape (Or / Not / exotic terms) goes through the generic
+Conjunctions of plain comparisons compile to direct value getters
+tested through :func:`repro.core.algebra.comparison_holds` — the
+native operator under a null test, ``compare()`` on a type mismatch,
+the same kernel a leaf's pushed constant comparisons run inline; every
+other shape (Or / Not / exotic terms) goes through the generic
 three-valued ``Predicate.evaluate``.  Either way a row is kept iff the
-predicate is TRUE — the Section 5 lower-bound discipline.
+predicate is TRUE — the Section 5 lower-bound discipline.  (A pushed
+``A θ k`` never comes here: the tree builder hands it to its range's
+leaf as plain data.)
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from ..core.algebra import comparison_holds
 from ..core.query import And, AttributeRef, Comparison, Constant, Predicate
-from ..core.threevalued import compare
+from ..core.threevalued import comparison_function
 from ..core.tuples import XTuple
 
 
@@ -37,33 +43,43 @@ def _term_getter(term, variable: Optional[str] = None):
         if variable is not None and term.variable != variable:
             return None
         key = term.attribute if variable is not None else f"{term.variable}.{term.attribute}"
-        return lambda row, _k=key: row[_k]
+        return lambda row, _k=key: row._lookup.get(_k)
     if isinstance(term, Constant):
         value = term.literal
         return lambda row, _v=value: _v
     return None
 
 
-def _compile_comparisons(predicate: Predicate, variable: Optional[str] = None):
-    """Compile a conjunction of plain comparisons into one fast row
-    predicate, or return ``None`` for shapes (Or / Not / exotic terms)
-    that must go through the generic three-valued evaluator.  Keeping a
-    row iff the conjunction is TRUE is exactly "every comparison TRUE"
-    under the Table III AND semantics, so early exit is sound."""
+def _comparisons(predicate: Predicate, term_getter, context: Optional[str]):
+    """``(left, func, right, op)`` per comparison of a conjunction of
+    plain comparisons — ``term_getter(term, context)`` makes each term's
+    value getter — or ``None`` for shapes (Or / Not / exotic terms) that
+    must go through the generic three-valued evaluator.  Keeping a row
+    iff the conjunction is TRUE is exactly "every comparison TRUE" under
+    the Table III AND semantics, so the callers exit early."""
     conjuncts = predicate.operands if isinstance(predicate, And) else (predicate,)
     compiled = []
     for conjunct in conjuncts:
         if not isinstance(conjunct, Comparison):
             return None
-        left = _term_getter(conjunct.left, variable)
-        right = _term_getter(conjunct.right, variable)
+        left = term_getter(conjunct.left, context)
+        right = term_getter(conjunct.right, context)
         if left is None or right is None:
             return None
-        compiled.append((left, conjunct.op, right))
+        compiled.append((left, comparison_function(conjunct.op), right, conjunct.op))
+    return tuple(compiled)
 
-    def predicate_fn(row: XTuple, _compiled=tuple(compiled)) -> bool:
-        for left, op, right in _compiled:
-            if not compare(left(row), op, right(row)).is_true():
+
+def _compile_comparisons(predicate: Predicate, variable: Optional[str] = None):
+    """One row predicate testing every comparison through
+    :func:`~repro.core.algebra.comparison_holds`, or ``None``."""
+    compiled = _comparisons(predicate, _term_getter, variable)
+    if compiled is None:
+        return None
+
+    def predicate_fn(row: XTuple) -> bool:
+        for left, func, right, op in compiled:
+            if not comparison_holds(left(row), func, right(row), op):
                 return False
         return True
 
@@ -106,9 +122,9 @@ def _pair_term_getter(term, new_variable: str):
     if isinstance(term, AttributeRef):
         if term.variable == new_variable:
             key = term.attribute
-            return lambda probe, build, _k=key: build[_k]
+            return lambda probe, build, _k=key: build._lookup.get(_k)
         key = f"{term.variable}.{term.attribute}"
-        return lambda probe, build, _k=key: probe[_k]
+        return lambda probe, build, _k=key: probe._lookup.get(_k)
     if isinstance(term, Constant):
         value = term.literal
         return lambda probe, build, _v=value: _v
@@ -119,26 +135,19 @@ def pair_predicate(predicate: Predicate, new_variable: str):
     """Compile a residual conjunct into a fused join pair predicate.
 
     Returns a ``(probe row, raw build row) -> bool`` function keeping
-    exactly the pairs on which the conjunction is TRUE (Table III AND
-    semantics: every comparison TRUE, so early exit is sound), or
-    ``None`` for shapes (Or / Not / exotic terms) that must stay a
-    post-join :class:`~repro.exec.Filter`.  The planner fuses a conjunct
-    only when this returns non-``None``.
+    exactly the pairs on which every comparison is TRUE (through
+    :func:`~repro.core.algebra.comparison_holds`), or ``None`` for shapes
+    (Or / Not / exotic terms) that must stay a post-join
+    :class:`~repro.exec.Filter`.  The planner fuses a conjunct only when
+    this returns non-``None``.
     """
-    conjuncts = predicate.operands if isinstance(predicate, And) else (predicate,)
-    compiled = []
-    for conjunct in conjuncts:
-        if not isinstance(conjunct, Comparison):
-            return None
-        left = _pair_term_getter(conjunct.left, new_variable)
-        right = _pair_term_getter(conjunct.right, new_variable)
-        if left is None or right is None:
-            return None
-        compiled.append((left, conjunct.op, right))
+    compiled = _comparisons(predicate, _pair_term_getter, new_variable)
+    if compiled is None:
+        return None
 
-    def pair_fn(probe: XTuple, build: XTuple, _compiled=tuple(compiled)) -> bool:
-        for left, op, right in _compiled:
-            if not compare(left(probe, build), op, right(probe, build)).is_true():
+    def pair_fn(probe: XTuple, build: XTuple) -> bool:
+        for left, func, right, op in compiled:
+            if not comparison_holds(left(probe, build), func, right(probe, build), op):
                 return False
         return True
 

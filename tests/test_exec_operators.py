@@ -1,6 +1,6 @@
 """Unit tests for the streaming executor (:mod:`repro.exec`).
 
-Three families:
+Four families:
 
 * **Block-boundary behaviour** per operator — empty input, exactly one
   block, inputs straddling block boundaries (including duplicates that
@@ -14,15 +14,24 @@ Three families:
   instrumenting the constructor), and ``explain(analyze=True)`` reports
   per-operator actual row counts identical to the step trace's, ending
   in the oracle's answer size.
+* **Fused leaves** — the one leaf a range compiles to (scan or index
+  probe, pushed selections fused in) ≡ a chain of one :class:`Filter`
+  per conjunct ≡ the oracle, null kinds and type mismatches included,
+  and a 5 000-term conjunction runs without recursion.
 """
 
 from __future__ import annotations
 
 import re
+from operator import eq as operator_eq, lt as operator_lt, ne as operator_ne
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.core.xrelation as xrelation_module
+from repro.core.errors import AlgebraError
+from repro.core.nulls import NI, MarkedNull, UnknownNull
+from repro.core.query import And, AttributeRef, Comparison, Or, Query, evaluate_lower_bound
 from repro.core.relation import Relation, RelationSchema
 from repro.core.tuples import XTuple
 from repro.core.xrelation import XRelation
@@ -43,6 +52,7 @@ from repro.exec import (
     TableScan,
     TraceStep,
 )
+from repro.exec.builder import LogicalOp, build_tree
 from repro.quel.planner import Plan
 from repro.storage.database import Database
 from repro.storage.index import HashIndex
@@ -509,3 +519,190 @@ class TestExplainAnalyzeDrainsFirst:
         assert "(partial)" in tree
         result.rows  # drain
         assert "(partial)" not in render_tree(result.pipeline.root, analyze=True)
+
+
+# ---------------------------------------------------------------------------
+# Fused leaves: a range's scan and its pushed selections in one loop
+# ---------------------------------------------------------------------------
+
+LEAF_ATTRIBUTES = ("A", "B", "C")
+LEAF_OPS = ("=", "!=", "<", "<=", ">", ">=")
+#: Stored values: ``None`` leaves the cell ``ni`` (absent from the row);
+#: marked and unknown nulls are stored and must fail every comparison
+#: too; ``"x"`` mismatches the integer constants.
+LEAF_VALUES = st.sampled_from((None, 0, 1, 2, 3, MarkedNull("m1"), UnknownNull(), "x"))
+#: Constants: null ones keep nothing; ``"x"`` mismatches integer cells,
+#: so an order comparison must raise AlgebraError on the same inputs.
+LEAF_CONSTANTS = st.sampled_from((0, 1, 2, 3, NI, MarkedNull("m1"), "x"))
+
+
+@st.composite
+def leaf_conjuncts(draw):
+    """One pushed conjunct over range ``t``: mostly ``A θ k``; sometimes a
+    var-var comparison or an OR (the two fallback shapes)."""
+    kind = draw(st.sampled_from(["const", "const", "const", "var-var", "or"]))
+    attribute = draw(st.sampled_from(LEAF_ATTRIBUTES))
+    op = draw(st.sampled_from(LEAF_OPS))
+    if kind == "const":
+        return Comparison(AttributeRef("t", attribute), op, draw(LEAF_CONSTANTS))
+    other = AttributeRef("t", draw(st.sampled_from(LEAF_ATTRIBUTES)))
+    if kind == "var-var":
+        return Comparison(AttributeRef("t", attribute), op, other)
+    return Or(
+        Comparison(AttributeRef("t", attribute), op, draw(LEAF_CONSTANTS)),
+        Comparison(other, draw(st.sampled_from(LEAF_OPS)), draw(LEAF_CONSTANTS)),
+    )
+
+
+def _pushed_op(conjunct):
+    """The logical op the planner pushes for *conjunct* on range ``t``."""
+    if isinstance(conjunct, Comparison) and not isinstance(conjunct.right, AttributeRef):
+        return LogicalOp(
+            "select", variable="t", conjunct=conjunct,
+            attribute=conjunct.left.attribute, op=conjunct.op,
+            constant=conjunct.right.literal, est=1.0,
+        )
+    return LogicalOp("select-var-residual", variable="t", conjunct=conjunct, est=1.0)
+
+
+def _outcome(drain_rows):
+    try:
+        return drain_rows()
+    except AlgebraError:
+        return AlgebraError
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.lists(st.tuples(LEAF_VALUES, LEAF_VALUES, LEAF_VALUES), max_size=12),
+    st.lists(leaf_conjuncts(), min_size=1, max_size=5),
+    st.integers(min_value=1, max_value=9),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=3)),
+)
+def test_fused_leaf_matches_filter_chain_and_oracle(values, conjuncts, block_size, probe):
+    """The leaf ``build_tree`` makes of a range's pushed ops ≡ a
+    hand-built chain of one :class:`Filter` per conjunct (each through
+    the definitional ``Comparison.evaluate``) over the same scan ≡
+    :func:`evaluate_lower_bound` — on rows holding ``ni``, marked and
+    unknown nulls and mismatched types, with null and mismatched
+    constants, ``!=``, random block sizes and, when *probe* is drawn, an
+    index probe on ``A`` serving the range.
+
+    The leaf and the chain make exactly the same (row, conjunct)
+    evaluations, so they return the same rows in the same order or both
+    raise :class:`AlgebraError`.  The oracle evaluates a conjunct
+    whenever no earlier one was FALSE — a superset — so a leaf that
+    raises implies an oracle that raises, and otherwise their answers
+    are equal whenever the oracle answers."""
+    rows = [
+        XTuple({a: v for a, v in zip(LEAF_ATTRIBUTES, row) if v is not None})
+        for row in values
+    ]
+    ops = [LogicalOp("rename", variable="t", described="R")]
+    indexes = {}
+    where = list(conjuncts)
+    if probe is not None:
+        index = HashIndex(["A"], name="r_a")
+        index.bulk_add(rows)
+        indexes["t"] = index
+        ops.append(LogicalOp(
+            "index-select", variable="t", index=("A",), index_name="r_a",
+            probe=[probe], est=1.0,
+        ))
+        where.insert(0, Comparison(AttributeRef("t", "A"), "=", probe))
+    ops += [_pushed_op(c) for c in conjuncts]
+    ops.append(LogicalOp("project", targets=[(f"t_{a}", f"t.{a}") for a in LEAF_ATTRIBUTES]))
+    mappings = {"t": {a: f"t.{a}" for a in LEAF_ATTRIBUTES}}
+    _, nodes = build_tree(ops, {"t": rows}, indexes, mappings, "t", block_size)
+    leaf = nodes[1]
+    assert all(node is leaf for node in nodes[1:-1])  # one leaf, no Filter chain
+    assert isinstance(leaf, IndexProbe if probe is not None else TableScan)
+
+    chain = (
+        IndexProbe(indexes["t"].lookup, (probe,), block_size=block_size)
+        if probe is not None else TableScan(rows, block_size=block_size)
+    )
+    for conjunct in conjuncts:
+        chain = Filter(
+            chain, lambda row, _c=conjunct: _c.evaluate({"t": row}),
+            block_size=block_size,
+        )
+
+    fused = _outcome(lambda: drain(leaf))
+    assert fused == _outcome(lambda: drain(chain))
+
+    relation = Relation(LEAF_ATTRIBUTES, name="R", validate=False)
+    for row in rows:
+        relation.add(row)
+    query = Query({"t": relation}, [AttributeRef("t", a) for a in LEAF_ATTRIBUTES], And(*where))
+    oracle = _outcome(lambda: evaluate_lower_bound(query))
+    if fused is AlgebraError:
+        assert oracle is AlgebraError
+    elif oracle is not AlgebraError:
+        answer = Relation(("t_A", "t_B", "t_C"), name="Q", validate=False)
+        for row in fused:
+            answer.add(row.rename({a: f"t_{a}" for a in LEAF_ATTRIBUTES}))
+        assert XRelation(answer) == oracle
+
+
+class TestFusedLeaf:
+    def test_every_null_kind_fails_a_constant_comparison(self):
+        """``!=`` is where a bare native operator goes wrong: a stored
+        marked or unknown null is present in the row and unequal to 7,
+        yet no null satisfies a comparison (Section 5)."""
+        rows = rows_of({"A": 1, "B": MarkedNull("m1")}, {"A": 2, "B": 5},
+                       {"A": 3, "B": UnknownNull()}, {"A": 4})
+        tests = [("B", operator_ne, 7, "!=")]
+        assert [r["A"] for r in drain(TableScan(rows, tests, block_size=2))] == [2]
+
+    def test_null_kinds_through_the_planner(self):
+        database = Database("nullkinds")
+        table = database.create_table("T", ["A", "B"])
+        table.insert_many([(1, MarkedNull("m1")), (2, 5), (3, UnknownNull())])
+        session = database.session()
+        text = "range of t is T retrieve (t.A) where t.B != 7"
+        assert [r["t_A"] for r in session.execute(text)] == [2]
+        table.create_index(["A"], name="t_a")
+        probed = "range of t is T retrieve (t.A) where t.A = 3 and t.B != 7"
+        result = session.execute(probed)
+        assert list(result) == []
+        assert "IndexProbe t_a (t) | Filter t.B != 7" in result.explain(analyze=True)
+
+    def test_type_mismatch_redoes_the_block_through_compare(self):
+        rows = rows_of({"A": 1}, {"A": "x"}, {"A": 2})
+        equal = TableScan(rows, [("A", operator_eq, 2, "=")], block_size=8)
+        assert [r["A"] for r in drain(equal)] == [2]  # "x" = 2 is FALSE
+        unequal = TableScan(rows, [("A", operator_ne, 2, "!=")], block_size=8)
+        assert [r["A"] for r in drain(unequal)] == [1, "x"]
+        ordered = TableScan(rows, [("A", operator_lt, 2, "<")], block_size=8)
+        with pytest.raises(AlgebraError):
+            drain(ordered)
+
+    def test_a_range_is_one_leaf_node(self):
+        database = Database("leafdb")
+        table = database.create_table("T", ["A", "B"])
+        table.insert_many([(i, i % 7) for i in range(50)])
+        result = database.session().execute(
+            "range of t is T retrieve (t.A) where t.B != 3 and t.A < 20 and (t.B = 1 or t.B = 2)"
+        )
+        assert sorted(r["t_A"] for r in result) == [1, 2, 8, 9, 15, 16]
+        tree = result.explain(analyze=True).splitlines()
+        assert len(tree) == 2  # Project over the leaf
+        assert tree[1].strip().startswith(
+            "TableScan T (t) | Filter t.B != 3 | Filter t.A < 20 | Filter "
+        )
+        assert "actual rows=6 " in tree[1]
+
+    def test_5000_term_conjunction_runs_without_recursion_error(self):
+        database = Database("wide")
+        table = database.create_table("T", ["A", "B"])
+        table.insert_many([(i, i % 7) for i in range(1200)])
+        where = " and ".join(f"t.A != {1000 + i}" for i in range(5000))
+        session = database.session()
+        result = session.execute(f"range of t is T retrieve (t.A) where {where}")
+        assert sorted(r["t_A"] for r in result) == list(range(1000))
+        assert "actual rows=1000 " in result.explain(analyze=True)
+        deleted = session.execute(f"range of t is T delete t where {where}")
+        assert deleted.rows_affected == 1000
+        assert len(table) == 200
+

@@ -104,6 +104,18 @@ class TestStatements:
         assert "seq" in result  # took the exclusive path
         assert any(t["name"] == "COPY" for t in client.schema()["tables"])
 
+    def test_5000_term_conjunction_answers_200(self, client):
+        """A range's pushed conjuncts run in its one leaf, so a very long
+        ``and`` chain nests no generator per term and cannot exhaust the
+        recursion limit."""
+        where = " and ".join(f"t.A != {100 + i}" for i in range(5000))
+        status, payload = client.request(
+            "POST", "/statements",
+            {"statement": f"range of t is T retrieve (t.A) where {where}"},
+        )
+        assert status == 200
+        assert sorted(row["t_A"] for row in payload["rows"]) == list(range(100))
+
     def test_missing_statement_field(self, client):
         with pytest.raises(ServerError) as excinfo:
             client._checked("POST", "/statements", {"nope": 1})

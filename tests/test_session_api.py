@@ -282,6 +282,62 @@ class TestPlanOnce:
         assert XTuple({"E#": 59, "NAME": "N59", "SAL": 60}) in db["EMP"].tuples()
 
 
+    SCAN = "range of t is BIG retrieve (t.A, t.C) where t.C < $limit"
+    JOIN = (
+        "range of r is R range of s is S range of t is T "
+        "retrieve (r.RID, s.SID, t.TID, t.W) "
+        "where r.A = $a and t.D < $limit and r.B = s.B and s.C = t.C and r.P <= s.Q"
+    )
+
+    @staticmethod
+    def ledger_tables(db):
+        """Small copies of the ledger's ``scan_page_http`` and
+        ``join_drain`` tables, nulls included."""
+        maybe = lambda i, value: None if i % 4 == 0 else value  # noqa: E731
+        db.create_table("BIG", ["A", "B", "C"]).insert_many(
+            [(i, i % 10, maybe(i, (i * 37) % 500)) for i in range(400)])
+        db.table("BIG").create_index(["A"])
+        db.create_table("R", ["RID", "A", "B", "P"]).insert_many(
+            [(i, i % 10, i % 25, maybe(i, i % 100)) for i in range(200)])
+        db.create_table("S", ["SID", "B", "C", "Q"]).insert_many(
+            [(i, i % 25, (i * 7) % 25, maybe(i + 1, (i * 3) % 100)) for i in range(200)])
+        db.create_table("T", ["TID", "C", "D", "W"]).insert_many(
+            [(i, i % 25, (i * 11) % 1000, maybe(i + 2, i % 100)) for i in range(200)])
+        db.analyze()
+
+    def test_prepared_plans_stay_generic(self, db):
+        """After 50 executions with distinct values, the cached plan's
+        ops still hold the ``$name`` placeholders — binding copies ops,
+        it never writes a value into the shared plan — and every answer
+        equals a fresh plan's of the bound query."""
+        from repro.core.query import Parameter
+        from repro.quel.planner import Plan
+
+        self.ledger_tables(db)
+        session = repro.connect(db, result_cache_size=0)
+        cases = [
+            (self.SCAN, [{"limit": 100 + 7 * k} for k in range(50)]),
+            (self.JOIN, [{"a": k % 10, "limit": 300 + 13 * k} for k in range(50)]),
+        ]
+        for text, bindings in cases:
+            prepared = session.prepare(text)
+            for params in bindings:
+                answer = session.execute_prepared(prepared, params).to_relation()
+                analyzed = prepared._compiled.analyzed
+                assert answer == Plan(analyzed.bind(params), db).execute()
+            plan = prepared._compiled.plan
+            held = set()
+            for op in plan.logical_plan():
+                if op.kind == "select":
+                    assert isinstance(op.constant, Parameter), op
+                    held.add(op.constant.name)
+                if op.kind == "index-select":
+                    assert all(isinstance(v, Parameter) for v in op.probe), op
+                    held.update(v.name for v in op.probe)
+            assert held == set(bindings[0])
+            assert prepared.compile_count == 1
+
+
 class TestStaleResults:
     """Satellite bugfix: an undrained retrieve whose plan probes a live
     index (index-nested-loop join) fails loudly once the probed table
