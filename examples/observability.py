@@ -42,13 +42,14 @@ def build_database(registry: MetricsRegistry, size: int = 2_000, seed: int = 7) 
 
 
 def run_workload(session: repro.Session) -> None:
-    # retrieves: one per department, through the plan cache
+    # retrieves through one prepared handle, each traced; the repeated
+    # "toys" lookups are result-cache hits
     lookup = session.prepare(
         "range of e is EMP retrieve (e.NAME, e.SAL) where e.DEPT = $d"
     )
     for dept in ["toys", "tools", "shoes", "toys", "toys"]:
         lookup.execute({"d": dept}).rows
-    # the same text through execute(): a plan-cache hit plus a full trace
+    # the same text through execute(): a plan-cache hit
     session.execute(
         "range of e is EMP retrieve (e.NAME, e.SAL) where e.DEPT = $d",
         {"d": "tools"},

@@ -45,7 +45,8 @@ Subpackages:
     renderer) and the structured query traces every ``Session.execute``
     records.
 ``repro.datagen``
-    Synthetic relation and workload generators used by the benchmarks.
+    The paper's fixtures and synthetic relation generators, for the tests
+    and examples.
 ``repro.io``
     CSV and JSON round-trips with explicit null markers.
 """

@@ -142,11 +142,10 @@ class PreparedStatement:
         return self._ensure_compiled().parameters
 
     def execute(self, params: Optional[Mapping[str, Any]] = None) -> ResultSet:
-        """Run the statement."""
-        self.session._check_open()
-        result = self._ensure_compiled().execute(params or {})
-        self.session._track_result(result)
-        return result
+        """Run the statement through :meth:`Session.execute_prepared`, so
+        it is traced, counted and served from the result cache exactly
+        as a text or HTTP execution is."""
+        return self.session.execute_prepared(self, params)
 
     def explain(self, params: Optional[Mapping[str, Any]] = None) -> str:
         """The currently chosen strategy (re-planned if the epoch moved)."""

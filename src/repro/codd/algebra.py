@@ -10,12 +10,16 @@ Codd (1979) extends selection, join and division to relations with
   become known.
 
 The paper observes (Section 1) that real systems only implement the TRUE
-version because MAYBE answers are large and rarely useful; our experiment
-E10 measures exactly that selectivity collapse.  This module also provides
-the classical (null-free) operators ``codd_union`` / ``codd_difference`` /
-``codd_product`` / ``codd_project`` / ``codd_select`` with their classical
-union-compatibility preconditions, which the Section 7 correspondence
-experiment (E9) runs against the generalised operators.
+version because MAYBE answers are large and rarely useful;
+``examples/codd_vs_zaniolo.py`` shows the MAYBE answer growing with null
+density, and ``tests/test_codd_baseline.py`` pins that the TRUE version
+keeps exactly the ni lower bound at every density.  This module also
+provides the classical (null-free) operators ``codd_union`` /
+``codd_difference`` / ``codd_product`` / ``codd_project`` /
+``codd_select`` with their classical union-compatibility preconditions,
+which the Section 7 correspondence
+(``tests/test_paper_examples.py::TestE9CoddCorrespondence``) runs against
+the generalised operators.
 
 All functions here operate on plain :class:`~repro.core.relation.Relation`
 objects (representations), never on x-relations: the whole point of the
@@ -159,7 +163,7 @@ def outer_join(r1: Relation, r2: Relation, left: str, right: str) -> Relation:
 
 
 # ---------------------------------------------------------------------------
-# Classical operators with classical preconditions (for the E9 correspondence)
+# Classical operators with classical preconditions (for the Section 7 correspondence)
 # ---------------------------------------------------------------------------
 
 def _require_union_compatible(r1: Relation, r2: Relation, operation: str) -> None:

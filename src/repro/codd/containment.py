@@ -17,8 +17,8 @@ across both operands plus one fresh value per null occurrence, which is
 enough to realise every equality pattern the substitution principle can
 distinguish (two nulls equal / different / equal to an existing value).
 The number of substitutions is ``∏ |D_i|`` over the null occurrences, so
-this is exponential — which is rather the point (experiment E1 and E10
-chart the blow-up).
+this is exponential — which is rather the point (the cap below raises
+once the space outgrows it; ``tests/test_codd_baseline.py`` checks that).
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ def substitution_truth(
     must return a Python bool.  The result is TRUE / FALSE when the
     expression is constant across substitutions and MAYBE otherwise.
     Raises :class:`ValueError` when the substitution space exceeds
-    *max_substitutions*, which is how the benchmarks surface the blow-up.
+    *max_substitutions*, which is how the exponential blow-up surfaces.
     """
     sites = null_sites(relations)
     if not sites:

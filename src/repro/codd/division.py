@@ -1,4 +1,5 @@
-"""Codd's TRUE and MAYBE division, for the Section 6 comparison (experiment E6).
+"""Codd's TRUE and MAYBE division, for the Section 6 comparison
+(``tests/test_paper_examples.py::TestE6Division``).
 
 The paper contrasts three readings of the query
 

@@ -127,8 +127,8 @@ def codd_compare(left: Any, op: str, right: Any) -> CoddTruth:
 def to_core_truth(value: CoddTruth) -> core_tvl.TruthValue:
     """Map Codd's truth values onto the core ones (MAYBE ↦ ni).
 
-    The truth *tables* coincide; only the interpretation differs, which is
-    exactly the point experiment E3 makes by printing both side by side.
+    The truth *tables* coincide; only the interpretation differs
+    (``tests/test_codd_baseline.py`` checks the tables cell by cell).
     """
     if value.is_true():
         return core_tvl.TRUE

@@ -449,8 +449,8 @@ def divide_by_images(dividend: RelationLike, divisor: RelationLike, by: Sequence
     """Division by the image-set characterisation (6.5).
 
     ``R (÷Y) S = {y | y is Y-total and S ⊑ Z_R(y)}`` where Z is the scope
-    of the divisor.  Equivalent to :func:`divide`; both are exercised by
-    the tests and by benchmark E6 to confirm they agree.
+    of the divisor.  Equivalent to :func:`divide`;
+    ``tests/test_algebra_division.py`` confirms they agree.
     """
     rep_r, rep_s = _rep(dividend), _rep(divisor)
     by = tuple(by)

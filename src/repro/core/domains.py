@@ -148,8 +148,8 @@ class IntegerRangeDomain(Domain):
     """Integers in the inclusive range ``[low, high]``.
 
     Finite, but potentially huge — the paper's Appendix argues that
-    enumerating such domains to detect tautologies is infeasible, and our
-    benchmarks confirm the blow-up.
+    enumerating such domains to detect tautologies is infeasible, which is
+    why brute-force substitution takes an explicit cap.
     """
 
     def __init__(self, low: int, high: int, name: str = "int-range"):

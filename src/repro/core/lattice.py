@@ -20,9 +20,9 @@ This module provides
   able to materialise ``TOP_U`` and enumerate all total tuples;
 * :func:`bottom` / :func:`top` / :func:`pseudo_complement`;
 * law-checking helpers (:func:`check_lattice_laws`,
-  :func:`check_distributivity`, :func:`has_boolean_complement`) used by the
-  property-based tests and by benchmark E8 to *demonstrate* the paper's
-  structural claims on concrete universes.
+  :func:`check_distributivity`, :func:`has_boolean_complement`) used by
+  ``tests/test_lattice.py`` to *demonstrate* the paper's structural claims
+  on concrete universes.
 """
 
 from __future__ import annotations
@@ -141,7 +141,7 @@ def is_total_with_scope_u(x: XRelation, universe: AttributeUniverse) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Law checking (used by tests and benchmark E8)
+# Law checking (used by tests/test_lattice.py)
 # ---------------------------------------------------------------------------
 
 def check_lattice_laws(a: XRelation, b: XRelation, c: XRelation) -> Dict[str, bool]:
@@ -210,8 +210,8 @@ def complement_counterexample() -> Dict[str, object]:
     the x-relation ``R̂ = {(a1, b1)}`` has no complement: any x-relation
     whose union with R̂ reaches the top must x-contain ``(a1, b2)``, and
     then the tuple ``(a1, -)`` x-belongs to the x-intersection, which is
-    therefore not empty.  Returns the ingredients so tests and the E8
-    benchmark can assert each step.
+    therefore not empty.  Returns the ingredients so tests can assert each
+    step.
     """
     universe = AttributeUniverse.from_values({"A": ["a1"], "B": ["b1", "b2"]})
     r = XRelation.from_rows(["A", "B"], [("a1", "b1")], name="R")

@@ -9,8 +9,7 @@ subset of its rows represents the same x-relation.  The reduction removes
 which the paper describes as "an extension of the process of removing
 duplicate tuples in tables representing conventional relations".
 
-Two algorithms are provided and benchmarked against each other (experiment
-E12 in DESIGN.md):
+Two algorithms are provided (``tests/test_minimal.py`` checks they agree):
 
 * :func:`reduce_rows_naive` — the textbook O(n²) pairwise scan, a direct
   transliteration of the definition, kept as the oracle the property tests

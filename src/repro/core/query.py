@@ -20,7 +20,7 @@ parses concrete syntax into these objects; the possible-worlds evaluator
 (:mod:`repro.worlds`) reuses the same AST to compute certain/possible
 answers by completion enumeration, which is how we validate that the
 lower-bound strategy is sound (and show what it misses under the
-"unknown" interpretation — experiment E4).
+"unknown" interpretation — ``tests/test_paper_examples.py::TestE4FigureOne``).
 """
 
 from __future__ import annotations

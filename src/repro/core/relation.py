@@ -422,7 +422,7 @@ class Relation:
     def null_fraction(self) -> float:
         """Fraction of cells (over the full schema) holding ``ni``.
 
-        A convenience statistic used by the benchmark workloads.
+        A convenience statistic for synthetic data.
         """
         total_cells = len(self._rows) * len(self.schema)
         if total_cells == 0:

@@ -26,9 +26,9 @@ at after (4.8):
   the null tuple, which reduction drops anyway — instead of the full
   ``|R1| · |R2|`` meet product.
 
-The pre-engine nested-loop forms survive as :func:`difference_naive` and
-:func:`x_intersection_naive`; benchmarks (E13) measure the gap and the
-property tests assert exact agreement.
+The pre-engine nested-loop forms live beside the tests as oracles
+(``tests/oracles.py``); ``tests/test_engine_properties.py`` asserts exact
+agreement with them.
 
 The result schema follows the scope remarks after (4.8): a union's schema
 is the union of the operand schemas; an x-intersection's and a
@@ -110,19 +110,6 @@ def _meet_product(r1: Relation, r2: Relation) -> set:
     return meets
 
 
-def x_intersection_naive(r1: Relation, r2: Relation, minimize: bool = True, name: Optional[str] = None) -> Relation:
-    """The pre-engine x-intersection: the full ``|R1| · |R2|`` meet product.
-
-    Kept as the oracle/benchmark baseline for :func:`x_intersection`.
-    """
-    shared = [a for a in r1.schema.attributes if a in r2.schema]
-    if shared:
-        schema = r1.schema.project(shared, name=name or f"({r1.name} ∩̂ {r2.name})")
-    else:
-        schema = RelationSchema(r1.schema.attributes[:1], name=name or f"({r1.name} ∩̂ {r2.name})")
-    return _result_relation(schema, _meet_product(r1, r2), schema.name, minimize)
-
-
 # ---------------------------------------------------------------------------
 # Difference
 # ---------------------------------------------------------------------------
@@ -144,22 +131,6 @@ def difference(r1: Relation, r2: Relation, minimize: bool = True, name: Optional
     )
     subtrahend = DominanceIndex(r2.tuples())
     rows = [r for r in r1.tuples() if not subtrahend.has_dominator(r)]
-    return _result_relation(schema, rows, schema.name, minimize)
-
-
-def difference_naive(r1: Relation, r2: Relation, minimize: bool = True, name: Optional[str] = None) -> Relation:
-    """The pre-engine difference: a nested ``|R1| · |R2|`` dominance scan.
-
-    Kept as the oracle/benchmark baseline for :func:`difference`.
-    """
-    schema = RelationSchema(
-        r1.schema.attributes, r1.schema.domains(), name=name or f"({r1.name} − {r2.name})"
-    )
-    subtrahend = list(r2.tuples())
-    rows = [
-        r for r in r1.tuples()
-        if not any(t.more_informative_than(r) for t in subtrahend)
-    ]
     return _result_relation(schema, rows, schema.name, minimize)
 
 
@@ -190,7 +161,7 @@ def x_membership_difference(r1: Relation, r2: Relation, candidates: Iterable[XTu
 
 # ---------------------------------------------------------------------------
 # Classical (Codd) counterparts on total relations, used to verify the
-# Section 7 correspondence (experiment E9).
+# Section 7 correspondence (tests/test_paper_examples.py::TestE9CoddCorrespondence).
 # ---------------------------------------------------------------------------
 
 def classical_union(r1: Relation, r2: Relation) -> Relation:

@@ -19,8 +19,8 @@ This module defines:
   evaluator and the Codd baseline.
 
 The Codd baseline (``repro.codd.threevalued``) re-exports the same tables
-under the MAYBE name so the two systems can be compared side by side in
-experiment E3.
+under the MAYBE name so the two systems can be compared side by side
+(``tests/test_codd_baseline.py``).
 """
 
 from __future__ import annotations

@@ -1,8 +1,7 @@
-"""Synthetic data and workload generation for the benchmarks and examples."""
+"""Synthetic data generators and the paper's fixtures, for the tests and examples."""
 
 from .generators import (
     RelationGenerator,
-    containment_pair,
     employee_relation,
     parts_suppliers_relation,
     random_partial_relation,
@@ -11,21 +10,16 @@ from .workloads import (
     FIGURE_1_QUERY,
     FIGURE_2_QUERY,
     employee_database,
-    null_rate_sweep,
     parts_suppliers,
-    parts_suppliers_database,
     ps_double_prime,
     ps_prime,
-    scaled_employee_database,
-    scaled_parts_suppliers_database,
     table_one,
     table_two,
 )
 
 __all__ = [
-    "RelationGenerator", "containment_pair", "employee_relation",
-    "parts_suppliers_relation", "random_partial_relation",
-    "FIGURE_1_QUERY", "FIGURE_2_QUERY", "employee_database", "null_rate_sweep",
-    "parts_suppliers", "parts_suppliers_database", "ps_double_prime", "ps_prime",
-    "scaled_employee_database", "scaled_parts_suppliers_database", "table_one", "table_two",
+    "RelationGenerator", "employee_relation", "parts_suppliers_relation",
+    "random_partial_relation",
+    "FIGURE_1_QUERY", "FIGURE_2_QUERY", "employee_database",
+    "parts_suppliers", "ps_double_prime", "ps_prime", "table_one", "table_two",
 ]

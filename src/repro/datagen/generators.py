@@ -2,14 +2,12 @@
 
 The paper's practicability arguments are about *shape*: MAYBE answers grow
 with null density, possible-worlds evaluation grows exponentially in the
-number of nulls, set operations cost |R1|·|R2| naively.  The generators
-here produce the synthetic relations the benchmarks sweep to chart those
-shapes.  Everything is seeded and deterministic.
+number of nulls.  The generators here produce seeded, deterministic
+synthetic relations of a chosen size and null density (see
+``tests/test_codd_baseline.py`` for the MAYBE-versus-TRUE selectivity
+check over :func:`employee_relation`).
 
-Generators return plain :class:`~repro.core.relation.Relation` objects;
-the workload builders in :mod:`repro.datagen.workloads` assemble them into
-the specific experiment setups (employee databases, parts–suppliers
-databases, containment pairs, ...).
+Generators return plain :class:`~repro.core.relation.Relation` objects.
 """
 
 from __future__ import annotations
@@ -150,30 +148,3 @@ def random_partial_relation(
         attributes, values, default_null_rate=null_rate, seed=seed
     )
     return generator.relation(rows, name=name)
-
-
-def containment_pair(
-    base_rows: int,
-    extra_rows: int,
-    attributes: Sequence[str] = ("A", "B"),
-    domain_size: int = 8,
-    null_rate: float = 0.25,
-    seed: int = 0,
-) -> Tuple[Relation, Relation]:
-    """A pair (smaller, larger) where the larger extends the smaller with new rows.
-
-    Mirrors the PS'/PS'' construction of Section 1: the larger relation is
-    obtained from the smaller by adding tuples, so under the x-relation
-    reading the larger always contains the smaller, while Codd's
-    substitution principle typically reports MAYBE.
-    """
-    smaller = random_partial_relation(attributes, domain_size, base_rows, null_rate, seed=seed, name="R_small")
-    generator = RelationGenerator(
-        tuple(attributes),
-        {a: [f"{a.lower()}{i}" for i in range(domain_size)] for a in attributes},
-        default_null_rate=null_rate,
-        seed=seed + 1,
-    )
-    larger = Relation(RelationSchema(tuple(attributes), name="R_large"), validate=False)
-    larger._rows = set(smaller.tuples()) | {generator.row() for _ in range(extra_rows)}
-    return smaller, larger

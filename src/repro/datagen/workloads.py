@@ -1,25 +1,21 @@
-"""Workload builders: the concrete databases the examples and benchmarks use.
+"""Workload builders: the concrete databases the examples and tests use.
 
-Two kinds of fixtures live here:
-
-* **paper fixtures** — the exact relations the paper draws (Table I,
-  Table II, the PS'/PS'' pair of Section 1, the PARTS–SUPPLIERS relation
-  of display (6.6)), so experiments can compare against the printed rows;
-* **scaled workloads** — parameterised families (employee databases with a
-  chosen null density, parts–suppliers databases of a chosen size) used by
-  the cost-shape benchmarks (E10–E12).
+These are the **paper fixtures**: the exact relations the paper draws
+(Table I, Table II, the PS'/PS'' pair of Section 1, the PARTS–SUPPLIERS
+relation of display (6.6)) and the Figure 1/2 queries, so the tests in
+``tests/test_paper_examples.py`` and the examples compare against the
+printed rows.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import List, Mapping, Tuple
 
 from ..core.domains import EnumeratedDomain, IntegerRangeDomain
 from ..core.nulls import NI
 from ..core.relation import Relation
 from ..storage.database import Database
 from ..constraints.keys import KeyConstraint
-from .generators import employee_relation, parts_suppliers_relation
 
 
 # ---------------------------------------------------------------------------
@@ -116,43 +112,6 @@ def employee_database(include_managers: bool = True) -> Database:
         ])
     table.insert_many(rows)
     return database
-
-
-def parts_suppliers_database() -> Database:
-    """A Database holding the display (6.6) PARTS–SUPPLIERS relation."""
-    database = Database("parts-suppliers")
-    table = database.create_table("PS", ["S#", "P#"])
-    table.load(parts_suppliers().tuples())
-    return database
-
-
-# ---------------------------------------------------------------------------
-# Scaled workloads for the cost-shape benchmarks
-# ---------------------------------------------------------------------------
-
-def scaled_employee_database(size: int, null_rate: float, seed: int = 0) -> Database:
-    """A Database with a synthetic EMP relation of the given size and null density."""
-    database = Database(f"emp-{size}-{null_rate}")
-    relation = employee_relation(size, null_rate=null_rate, seed=seed)
-    table = database.create_table("EMP", relation.schema.attributes)
-    table.load(relation.tuples())
-    return database
-
-
-def scaled_parts_suppliers_database(
-    suppliers: int, parts: int, rows: int, null_rate: float, seed: int = 0
-) -> Database:
-    """A Database with a synthetic PS relation of the given shape."""
-    database = Database(f"ps-{suppliers}x{parts}")
-    relation = parts_suppliers_relation(suppliers, parts, rows, null_rate=null_rate, seed=seed)
-    table = database.create_table("PS", relation.schema.attributes)
-    table.load(relation.tuples())
-    return database
-
-
-def null_rate_sweep(rates: Sequence[float] = (0.0, 0.1, 0.2, 0.4, 0.6), size: int = 60, seed: int = 0) -> Dict[float, Database]:
-    """A family of employee databases differing only in null density."""
-    return {rate: scaled_employee_database(size, rate, seed=seed) for rate in rates}
 
 
 #: The query of Figure 1, verbatim (modulo ASCII connectives).

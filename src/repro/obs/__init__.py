@@ -78,6 +78,6 @@ def registry_for(database: Optional[Any]) -> MetricsRegistry:
 
 def disabled_registry() -> MetricsRegistry:
     """A registry whose children are shared no-ops — instrumentation
-    costs one attribute lookup and a no-op call.  Used as the baseline
-    in benchmark E21 and by callers who want the engine silent."""
+    costs one attribute lookup and a no-op call, for callers who want the
+    engine silent."""
     return MetricsRegistry(enabled=False)

@@ -265,16 +265,14 @@ class MetricFamily:
 class MetricsRegistry:
     """Holds metric families; the engine's single observability sink.
 
-    ``enabled=False`` turns every child into a shared no-op — used by
-    benchmarks to measure the uninstrumented baseline and available to
-    callers who want the engine silent.
+    ``enabled=False`` turns every child into a shared no-op, for callers
+    who want the engine silent.
     """
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
         self._lock = threading.Lock()
         self._families: "Dict[str, MetricFamily]" = {}
-        self._callbacks: List[Callable[[], Any]] = []
         self._handles: Dict[str, Any] = {}
 
     # -- family constructors (get-or-create, idempotent) ---------------------
@@ -328,29 +326,9 @@ class MetricsRegistry:
             resolved = self._handles[key] = build(self)
         return resolved
 
-    # -- scrape-time callbacks ------------------------------------------------
-    def add_callback(self, callback: Callable[[], Any]) -> None:
-        """Register *callback* to run before every :meth:`collect` /
-        :meth:`render_prometheus` — used for gauges derived from live
-        state.  A callback returning ``False`` is
-        pruned (the idiom for weakref-bound sources that died)."""
-        with self._lock:
-            self._callbacks.append(callback)
-
-    def _run_callbacks(self) -> None:
-        with self._lock:
-            callbacks = list(self._callbacks)
-        dead = [cb for cb in callbacks if cb() is False]
-        if dead:
-            with self._lock:
-                for cb in dead:
-                    if cb in self._callbacks:
-                        self._callbacks.remove(cb)
-
     # -- read surfaces ---------------------------------------------------------
     def collect(self) -> List[Dict[str, Any]]:
         """A plain-data snapshot of every family (see module docstring)."""
-        self._run_callbacks()
         with self._lock:
             families = list(self._families.values())
         return [

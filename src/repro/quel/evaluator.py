@@ -1,7 +1,7 @@
 """Running QUEL retrieve queries end to end.
 
 :func:`run_query` is the convenience entry point used by the examples and
-benchmarks: parse → analyse against a database → evaluate.  Since the
+tests: parse → analyse against a database → evaluate.  Since the
 Session API redesign the **cost-based planner is the default strategy**
 — the same path ``repro.connect()`` sessions use — and the strategies
 remain selectable for the differential oracles:
@@ -15,7 +15,7 @@ remain selectable for the differential oracles:
   definitional oracle.
 
 The two agree information-wise on every query; the differential harness
-asserts it and benchmark E10 measures their cost difference.  DML text
+(``tests/test_differential_planner.py``) asserts it.  DML text
 (APPEND / DELETE / REPLACE) does not run here — open a session with
 :func:`repro.connect` for the full statement surface.
 """

@@ -542,8 +542,7 @@ class Plan:
 
         The label children are resolved once per *registry*
         (:func:`_plan_metric_handles`) — the per-compile cost is a
-        handful of counter adds, keeping prepared statements inside
-        E21's 5% overhead gate.
+        handful of counter adds.
         """
         handles = registry_for(self.database).handles("planner", _plan_metric_handles)
         handles["plans"].inc()

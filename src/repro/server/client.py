@@ -3,8 +3,9 @@
 Built on the stdlib's :class:`http.client.HTTPConnection` (one keep-alive
 TCP connection per client — which is also the server's unit of session /
 cursor / transaction ownership, so one :class:`ServerClient` behaves
-exactly like one database connection).  Used by the tests, the E18 load
-benchmark and the quickstart example; it is deliberately synchronous —
+exactly like one database connection).  Used by the tests, the ``e2e``
+benchmark's HTTP workloads and the quickstart example; it is
+deliberately synchronous —
 concurrency in those callers comes from threads, mirroring real client
 processes.
 """

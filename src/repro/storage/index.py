@@ -133,16 +133,9 @@ class HashIndex:
         """
         return self.lookup(values), self._unindexed
 
-    def unindexed_rows(self) -> AbstractSet[XTuple]:
-        """Rows null on at least one indexed attribute (a read-only view)."""
-        return self._unindexed
-
     # -- statistics ----------------------------------------------------------------
     def __len__(self) -> int:
         return sum(len(bucket) for bucket in self._buckets.values()) + len(self._unindexed)
-
-    def distinct_keys(self) -> int:
-        return len(self._buckets)
 
     def __repr__(self) -> str:
         return (

@@ -11,8 +11,9 @@ This module performs such changes on :class:`~repro.storage.table.Table`
 objects and reports the information-theoretic consequences:
 
 * :func:`add_attribute` — widen the schema; rows are untouched, and the
-  result is equivalent to the original (asserted by tests, shown by
-  benchmark E2);
+  result is equivalent to the original (asserted by
+  ``tests/test_paper_examples.py::TestE2SchemaEvolution``, shown by
+  ``examples/employee_schema_evolution.py``);
 * :func:`drop_attribute` — narrow the schema by projection; this *can*
   lose information, and the returned report says whether it did;
 * :func:`evolve` — apply a sequence of changes, accumulating reports.

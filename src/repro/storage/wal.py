@@ -73,7 +73,7 @@ Design notes
   others append behind it, and the next single fsync makes them all
   durable — without weakening the guarantee that a statement returns
   only once its record is on disk.  ``group_commit=False`` restores the
-  fsync-inside-the-critical-section behaviour (the benchmark baseline).
+  fsync-inside-the-critical-section behaviour.
 """
 
 from __future__ import annotations

@@ -5,7 +5,8 @@ DPLL, interval/region analysis of inequalities, and brute-force domain
 substitution restricted by integrity constraints — plus the
 "unknown"-interpretation query evaluator built on top of them.  The `ni`
 interpretation of the core library never needs any of this, which is the
-practicability argument the reproduction's experiment E11 quantifies.
+paper's practicability argument (``tests/test_tautology.py`` pins each
+layer on the Appendix examples).
 """
 
 from .propositional import (

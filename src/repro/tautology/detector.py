@@ -27,8 +27,8 @@ conclusions they can reach on their own:
 
 :func:`evaluate_unknown_lower_bound` then uses the detector to compute the
 correct certain answer under the unknown interpretation — the expensive
-alternative whose cost experiment E11 charts against the paper's cheap ni
-evaluation (which simply never needs any of this machinery).
+alternative to the paper's cheap ni evaluation (which simply never needs
+any of this machinery).
 """
 
 from __future__ import annotations
@@ -251,8 +251,9 @@ def evaluate_unknown_lower_bound(
     A binding contributes when its where clause is TRUE outright **or**
     defines a tautology (true under every legal substitution of its
     nulls).  This is the expensive evaluation strategy the paper's
-    Appendix argues against; comparing its output and cost with
-    :func:`repro.core.query.evaluate_lower_bound` is experiment E4/E11.
+    Appendix argues against; ``tests/test_paper_examples.py`` compares its
+    output with :func:`repro.core.query.evaluate_lower_bound` on Figures 1
+    and 2.
 
     Bindings the detector cannot decide are (conservatively) excluded, and
     counted in the returned relation's name for transparency.

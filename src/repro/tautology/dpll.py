@@ -7,8 +7,8 @@ unsatisfiable.  This module provides a small, dependency-free DPLL solver
 frequent variable — operating on the CNF clause representation produced by
 :func:`repro.tautology.propositional.to_cnf`.
 
-It is deliberately a real solver rather than a truth-table loop so that
-benchmark E11 can compare three cost regimes on the same instances:
+It is deliberately a real solver rather than a truth-table loop, so that
+three cost regimes can be compared on the same instances:
 
 * truth-table enumeration (2^n always),
 * DPLL (fast on easy instances, exponential in the worst case),
@@ -25,7 +25,7 @@ from .propositional import Clause, Formula, Literal, NotF, to_cnf
 
 
 class DPLLStatistics:
-    """Counters describing one solver run (used by the benchmarks)."""
+    """Counters describing one solver run."""
 
     def __init__(self) -> None:
         self.decisions = 0

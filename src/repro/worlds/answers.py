@@ -17,9 +17,9 @@ enumeration so that
 
 * the three-valued lower bound can be *validated*: every answer it returns
   must be a certain answer under the unknown interpretation (tests), and
-* the cost gap can be *measured*: world enumeration blows up exponentially
+* the cost gap can be *shown*: world enumeration blows up exponentially
   in the number of nulls while the three-valued evaluation does not
-  (experiments E4 and E10).
+  (``examples/codd_vs_zaniolo.py``).
 
 The evaluation of a query in a single (total) world is ordinary two-valued
 evaluation, reusing the same :class:`~repro.core.query.Query` AST.

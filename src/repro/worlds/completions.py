@@ -15,8 +15,8 @@ This module enumerates completions:
   their occurrences receive the same value;
 * the world count is the product of the per-site domain sizes, so the
   enumerators take (and enforce) an explicit cap; exceeding the cap is the
-  experimental signal for the exponential cost the paper contrasts with
-  its linear lower-bound evaluation (experiments E4 and E10).
+  signal for the exponential cost the paper contrasts with its linear
+  lower-bound evaluation (``tests/test_worlds.py`` checks the cap).
 
 The answers module builds certain/possible answers on top of this.
 """

@@ -8,7 +8,6 @@ from repro import Relation, XRelation, NI
 from repro.datagen import (
     employee_database,
     parts_suppliers,
-    parts_suppliers_database,
     ps_double_prime,
     ps_prime,
     table_one,
@@ -51,8 +50,3 @@ def emp_db():
     """The paper's employee database, including the two managers."""
     return employee_database()
 
-
-@pytest.fixture
-def ps_db():
-    """The paper's parts-suppliers database."""
-    return parts_suppliers_database()

@@ -6,6 +6,7 @@ from repro import NI, Relation, XTuple
 from repro.codd import (
     CODD_FALSE,
     CODD_TRUE,
+    CODD_TRUTH_VALUES,
     MAYBE,
     codd_compare,
     codd_difference,
@@ -27,8 +28,10 @@ from repro.codd import (
     to_core_truth,
     union_contains_truth,
 )
+from repro.core.algebra import select_constant
 from repro.core.errors import AlgebraError, UnionCompatibilityError
 from repro.core.threevalued import FALSE, NI_TRUTH, TRUE
+from repro.datagen import employee_relation
 
 
 class TestCoddTruth:
@@ -42,6 +45,15 @@ class TestCoddTruth:
         assert (CODD_TRUE | MAYBE) == CODD_TRUE
         assert (CODD_FALSE | MAYBE) == MAYBE
         assert ~MAYBE == MAYBE
+
+    def test_tables_coincide_cell_by_cell_with_table_iii(self):
+        """Same truth tables as the ni logic of Table III; only the
+        reading of the third value differs."""
+        for a in CODD_TRUTH_VALUES:
+            for b in CODD_TRUTH_VALUES:
+                assert to_core_truth(a & b) == (to_core_truth(a) & to_core_truth(b))
+                assert to_core_truth(a | b) == (to_core_truth(a) | to_core_truth(b))
+            assert to_core_truth(~a) == ~to_core_truth(a)
 
     def test_comparison_with_null_is_maybe(self):
         assert codd_compare(NI, "=", 5) == MAYBE
@@ -72,6 +84,15 @@ class TestTrueMaybeSelection:
         """The practical complaint of Section 1: MAYBE answers are large."""
         assert len(select_maybe(emp, "TEL#", "=", 1)) >= 3
         assert len(select_true(emp, "TEL#", "=", 1)) == 0
+
+    def test_true_selection_is_the_ni_lower_bound_at_every_null_rate(self):
+        """Codd's TRUE selection keeps as many rows as the ni selection
+        whatever the null density; only MAYBE grows with it."""
+        for rate in (0.0, 0.2, 0.4, 0.6, 0.8):
+            emp = employee_relation(80, null_rate=rate, seed=9)
+            true_count = len(select_true(emp, "TEL#", ">", 2500000))
+            assert true_count == len(select_constant(emp, "TEL#", ">", 2500000))
+        assert len(select_maybe(emp, "TEL#", ">", 2500000)) > true_count
 
     def test_attribute_to_attribute_selection(self, emp):
         from repro.codd.algebra import select_attrs_maybe, select_attrs_true

@@ -7,13 +7,9 @@ import pytest
 from repro import NI, Relation, XRelation, XTuple
 from repro.datagen import (
     RelationGenerator,
-    containment_pair,
     employee_relation,
-    null_rate_sweep,
     parts_suppliers_relation,
     random_partial_relation,
-    scaled_employee_database,
-    scaled_parts_suppliers_database,
 )
 from repro.io import (
     from_csv_text,
@@ -65,20 +61,6 @@ class TestGenerators:
         ps = parts_suppliers_relation(4, 6, 50, null_rate=0.3, seed=1)
         assert set(ps.schema.attributes) == {"S#", "P#"}
         assert 0 < len(ps) <= 50
-
-    def test_containment_pair_preserves_containment(self):
-        smaller, larger = containment_pair(10, 5, seed=4)
-        assert XRelation(larger) >= XRelation(smaller)
-
-    def test_scaled_databases(self):
-        emp_db = scaled_employee_database(15, 0.2, seed=1)
-        ps_db = scaled_parts_suppliers_database(3, 4, 20, 0.2, seed=1)
-        assert len(emp_db["EMP"]) == 15
-        assert len(ps_db["PS"]) > 0
-
-    def test_null_rate_sweep_keys(self):
-        sweep = null_rate_sweep(rates=(0.0, 0.5), size=10)
-        assert set(sweep) == {0.0, 0.5}
 
 
 class TestCSV:

@@ -8,9 +8,9 @@ schema width and null fraction:
   ``reduce_rows``) ≡ :func:`repro.core.minimal.reduce_rows_naive`, and
   reducing the reduced parts of any split ≡ reducing the whole;
 * :func:`repro.core.setops.difference` ≡ the nested-loop (4.8) form
-  :func:`repro.core.setops.difference_naive`;
+  ``oracles.difference_naive``;
 * :func:`repro.core.setops.x_intersection` ≡ the full-meet-product (4.7)
-  form :func:`repro.core.setops.x_intersection_naive`, and its
+  form ``oracles.x_intersection_naive``, and its
   x-membership matches the definitional oracle
   :func:`repro.core.setops.x_membership_intersection` (Definition 4.2);
 * union's x-membership matches :func:`x_membership_union` (4.1);
@@ -29,14 +29,14 @@ from repro.core.engine import DominanceIndex, bulk_reduce
 from repro.core.minimal import reduce_rows, reduce_rows_naive
 from repro.core.setops import (
     difference,
-    difference_naive,
     union,
     x_intersection,
-    x_intersection_naive,
     x_membership_intersection,
     x_membership_union,
 )
 from repro.storage.table import Table
+
+from oracles import difference_naive, x_intersection_naive
 
 
 ATTRIBUTES = ("A", "B", "C", "D", "E")

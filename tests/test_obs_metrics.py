@@ -134,27 +134,6 @@ class TestRegistry:
         finally:
             assert set_registry(previous) is mine
 
-    def test_scrape_callbacks_run_and_prune(self):
-        registry = MetricsRegistry()
-        gauge = registry.gauge("repro_cb", "cb")
-        calls = []
-
-        def live():
-            calls.append("live")
-            gauge.set(len(calls))
-
-        def dead():
-            calls.append("dead")
-            return False
-
-        registry.add_callback(live)
-        registry.add_callback(dead)
-        registry.collect()
-        registry.collect()
-        # the False-returning callback is pruned after its first run
-        assert calls == ["live", "dead", "live"]
-        assert gauge.labels().value == 3.0  # len(calls) when live last ran
-
 
 # ---------------------------------------------------------------------------
 # the engine's series (one mixed workload)
@@ -245,6 +224,22 @@ class TestEngineSeries:
         assert trace.outcome == "ok"
         assert trace.tags.get("result_cache") == "hit"
         assert trace.rows_out == 5
+
+    def test_prepared_handle_is_traced_counted_and_cached(self):
+        """An in-process ``PreparedStatement.execute`` takes the same
+        path as a text or HTTP execution: a trace per call, the
+        statement counters, and result-cache hits on a repeat."""
+        registry = MetricsRegistry()
+        session = fresh_database(registry).session()
+        prepared = session.prepare("range of t is T retrieve (t.A) where t.B = $b")
+        for b in (0, 1, 1):
+            prepared.execute({"b": b}).rows
+        traces = session.recent_traces()
+        assert [trace.kind for trace in traces] == ["retrieve"] * 3
+        assert traces[-1].tags.get("result_cache") == "hit"
+        assert traces[0].rows_out == 2
+        parsed = parse_prometheus(registry.render_prometheus())
+        assert parsed[("repro_statements_total", (("kind", "retrieve"), ("outcome", "ok")))] == 3
 
     def test_slow_query_threshold_marks_and_counts(self, caplog):
         registry = MetricsRegistry()

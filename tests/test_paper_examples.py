@@ -1,8 +1,8 @@
 """Integration tests: every worked example printed in the paper, end to end.
 
-Each test class corresponds to an experiment id in DESIGN.md / EXPERIMENTS.md
-and asserts the rows the paper prints (or, where the paper's claim is
-qualitative, the qualitative shape).
+Each test class is named after the experiment id (E1–E12) the
+reproduction gave that example, and asserts the rows the paper prints (or,
+where the paper's claim is qualitative, the qualitative shape).
 """
 
 import pytest
@@ -17,6 +17,7 @@ from repro import (
     project,
     select_constant,
 )
+from repro.constraints import BindingConstraint, as_detector_constraints
 from repro.codd import (
     CODD_TRUE,
     MAYBE,
@@ -153,6 +154,36 @@ class TestE5FigureTwo:
         assert run_query(FIGURE_2_QUERY, db).answer == run_query(
             FIGURE_2_QUERY, db, strategy="tuple"
         ).answer
+
+    def test_schema_constraints_change_the_unknown_answer(self, db):
+        """With ADAMS's MGR# null, the binding (GREEN, ADAMS) hinges on
+        ``e.E# != m.MGR#``: no tautology propositionally or by intervals,
+        but one under the no-self/no-mutual-management constraints."""
+        adams = db.table("EMP").lookup(["E#"], [1255])[0]
+        db.table("EMP").update(adams, {**adams.as_dict(), "MGR#": None})
+        query = compile_query(FIGURE_2_QUERY, db).query
+
+        def no_self_management(binding):
+            return all(
+                row["MGR#"] is NI or row["E#"] is NI or row["MGR#"] != row["E#"]
+                for row in binding.values()
+            )
+
+        def no_mutual_management(binding):
+            e, m = binding.get("e"), binding.get("m")
+            if e is None or m is None or NI in (e["MGR#"], m["E#"], e["E#"], m["MGR#"]):
+                return True
+            return not (e["MGR#"] == m["E#"] and m["MGR#"] == e["E#"])
+
+        domains = {"MGR#": [1120, 4335, 8799, 2235, 1255]}
+        aware = TautologyDetector(domains=domains, constraints=as_detector_constraints([
+            BindingConstraint(["e"], no_self_management),
+            BindingConstraint(["e", "m"], no_mutual_management),
+        ]))
+        unaware = evaluate_unknown_lower_bound(query, TautologyDetector(domains=domains))
+        with_constraints = evaluate_unknown_lower_bound(query, aware)
+        assert "GREEN" not in {t["e_NAME"] for t in unaware.rows()}
+        assert "GREEN" in {t["e_NAME"] for t in with_constraints.rows()}
 
 
 class TestE6Division:
