@@ -16,13 +16,15 @@ without materialising; ``.rows`` for the canonical sorted answer;
 and mutations route through the storage layer's atomic bulk paths via
 the DML sinks.  :meth:`Session.prepare` returns a :class:`PreparedStatement`
 whose compiled plan lives in a session LRU keyed by the statement's
-*normalized AST* and stamped with the database's catalog/index/stats
-epoch — re-executing skips lexing, parsing, analysis and planning
-entirely, and any DDL, index change or ANALYZE transparently re-plans on
-the next execution.  :meth:`Session.transaction` gives all-or-nothing
-multi-statement groups, undone through the catalog's journal of inverse
-deltas and DDL (O(group) work, never a copy of the database); outside a
-transaction each statement autocommits.
+exact text (a repeat is one dictionary probe), shared by every text with
+the same *normalized AST*, and stamped with the database's
+catalog/index/stats epoch — re-executing skips lexing, parsing, analysis
+and planning entirely, and any DDL, index change or ANALYZE
+transparently re-plans on the next execution.
+:meth:`Session.transaction` gives all-or-nothing multi-statement groups,
+undone through the catalog's journal of inverse deltas and DDL (O(group)
+work, never a copy of the database); outside a transaction each
+statement autocommits.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from collections import OrderedDict, deque
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..core.errors import SessionClosedError, StaleResultError, StorageError
+from ..limits import check_statement_size
 from ..obs import ERROR_RATIO_BUCKETS, QueryTrace, registry_for, slow_query_logger
 from ..quel.ast_nodes import (
     AppendStatement,
@@ -52,17 +55,15 @@ from .results import ResultSet
 TRACE_CAPACITY = 64
 
 
-def _statement_kind(statement: Statement) -> str:
-    """The metric label for a parsed statement ("retrieve", "append", …)."""
-    if isinstance(statement, RetrieveStatement):
-        return "retrieve"
-    if isinstance(statement, AppendStatement):
-        return "append"
-    if isinstance(statement, DeleteStatement):
-        return "delete"
-    if isinstance(statement, ReplaceStatement):
-        return "replace"
-    return type(statement).__name__.replace("Statement", "").lower() or "unknown"
+#: The metric label of each statement type the parser produces; a
+#: session binds its statement counters and latency histograms for these
+#: kinds up front.
+STATEMENT_KINDS = {
+    RetrieveStatement: "retrieve",
+    AppendStatement: "append",
+    DeleteStatement: "delete",
+    ReplaceStatement: "replace",
+}
 
 
 def _collect_operators(root) -> List[Dict[str, Any]]:
@@ -117,6 +118,8 @@ class PreparedStatement:
             statement_key if statement_key is not None
             else normalize_statement(statement)
         )
+        #: The statement's metric label ("retrieve", "append", …).
+        self.kind = STATEMENT_KINDS[type(statement)]
         self._compiled: Optional[CompiledStatement] = None
         self._epoch: Optional[int] = None
         #: How many times this statement was (re)compiled — observable
@@ -130,7 +133,7 @@ class PreparedStatement:
         if self._compiled is None or epoch != self._epoch:
             if self._compiled is not None:
                 # A cached plan invalidated by DDL / index / ANALYZE.
-                self.session._plan_cache_metric.labels(event="stale_epoch").inc()
+                self.session._plan_stale.inc()
             self._compiled = compile_statement(database, self.statement)
             self._epoch = epoch
             self.compile_count += 1
@@ -276,7 +279,8 @@ class Session:
     database:
         The database to speak to (``repro.storage.Database``).
     cache_size:
-        Capacity of the prepared-statement LRU (0 disables caching).
+        Capacity of the prepared-statement LRU, in statement texts (0
+        disables caching).
     result_cache_size:
         Capacity of the semantic result cache (materialized answers keyed
         by normalized statement + bound parameters + table versions; see
@@ -313,7 +317,14 @@ class Session:
             ResultCache(database, result_cache_size)
             if result_cache_size > 0 else None
         )
-        self._statements: "OrderedDict[Any, PreparedStatement]" = OrderedDict()
+        #: The prepared-statement LRU, keyed by exact statement text.
+        self._statements: "OrderedDict[str, PreparedStatement]" = OrderedDict()
+        #: The same statements by normalized AST, so a text variant finds
+        #: the statement another text compiled.  Weak: an entry lives as
+        #: long as some text in the LRU (or a caller's handle) holds it.
+        self._by_key: "weakref.WeakValueDictionary[Any, PreparedStatement]" = (
+            weakref.WeakValueDictionary()
+        )
         self._transactions: List[Transaction] = []
         self._closed = False
         #: Undrained lazy pipelines this session handed out — close()
@@ -387,6 +398,23 @@ class Session:
             "(1.0 = perfect estimate), recorded when the plan drains.",
             buckets=ERROR_RATIO_BUCKETS,
         )
+        # The per-statement children, bound once: kinds × outcomes is a
+        # small closed set, and ``labels()`` validates and builds a key
+        # on every call.
+        self._plan_hit = self._plan_cache_metric.labels(event="hit")
+        self._plan_miss = self._plan_cache_metric.labels(event="miss")
+        self._plan_stale = self._plan_cache_metric.labels(event="stale_epoch")
+        self._statement_children: Dict[Tuple[str, str], Any] = {
+            (kind, outcome): self._statements_metric.labels(
+                kind=kind, outcome=outcome
+            )
+            for kind in STATEMENT_KINDS.values()
+            for outcome in ("ok", "error")
+        }
+        self._latency_children: Dict[str, Any] = {
+            kind: self._latency_metric.labels(kind=kind)
+            for kind in STATEMENT_KINDS.values()
+        }
 
     # -- lifecycle ------------------------------------------------------------
     @property
@@ -435,6 +463,7 @@ class Session:
             pipeline.invalidate(error)
         self._pipelines.clear()
         self._statements.clear()
+        self._by_key.clear()
 
     def __enter__(self) -> "Session":
         self._check_open()
@@ -452,27 +481,43 @@ class Session:
         return trace
 
     def prepare(self, text: str) -> PreparedStatement:
-        """Parse *text* once and return its (cached) prepared statement.
+        """Return the prepared statement for *text*, parsing it at most once.
 
-        The cache key is the statement's normalized AST, so texts
-        differing only in whitespace, comments or source positions share
-        one compiled plan; ``$name`` placeholders normalize by name, so
-        one template serves every binding.
+        The cache key is the exact text: a repeat costs one dictionary
+        probe, with no lexing, parsing or normalizing.  A new text is
+        parsed and normalized, and the normalized AST is the fallback
+        key: texts differing only in whitespace, comments or source
+        positions get the statement another of them compiled, so they
+        share one plan, one ``statement_key`` and one result-cache
+        entry.  ``$name`` placeholders normalize by name, so one template
+        serves every binding.  The LRU holds at most ``cache_size``
+        texts.
+
+        A text over :data:`repro.limits.MAX_STATEMENT_BYTES` raises
+        :class:`~repro.core.errors.StatementTooComplex` before the cache
+        is probed.
         """
         self._check_open()
+        check_statement_size(text)
+        statements = self._statements
+        prepared = statements.get(text)
+        if prepared is not None:
+            self._plan_hit.inc()
+            statements.move_to_end(text)
+            return prepared
         statement = parse_statement(text)
         key = normalize_statement(statement)
-        cached = self._statements.get(key)
-        if cached is not None:
-            self._plan_cache_metric.labels(event="hit").inc()
-            self._statements.move_to_end(key)
-            return cached
-        self._plan_cache_metric.labels(event="miss").inc()
-        prepared = PreparedStatement(self, text, statement, statement_key=key)
+        prepared = self._by_key.get(key)
+        if prepared is not None:
+            self._plan_hit.inc()
+        else:
+            self._plan_miss.inc()
+            prepared = PreparedStatement(self, text, statement, statement_key=key)
         if self.cache_size > 0:
-            self._statements[key] = prepared
-            while len(self._statements) > self.cache_size:
-                self._statements.popitem(last=False)
+            self._by_key[key] = prepared
+            statements[text] = prepared
+            while len(statements) > self.cache_size:
+                statements.popitem(last=False)
         return prepared
 
     def execute(
@@ -541,7 +586,7 @@ class Session:
         """Run *prepared* inside *trace*: time the analyze/plan/execute
         phases, count the statement, and — for a lazy retrieve — arm the
         pipeline-completion hook that folds the drain-side actuals in."""
-        kind = _statement_kind(prepared.statement)
+        kind = prepared.kind
         trace.kind = kind
         cache_key = None
         try:
@@ -581,12 +626,8 @@ class Session:
                         trace.plan = list(result.steps)
                         trace.tags["result_cache"] = "hit"
                         trace.finished = True
-                        self._statements_metric.labels(
-                            kind=kind, outcome="ok"
-                        ).inc()
-                        self._latency_metric.labels(kind=kind).observe(
-                            trace.seconds
-                        )
+                        self._statement_children[kind, "ok"].inc()
+                        self._latency_children[kind].observe(trace.seconds)
                         self._traces.append(trace)
                         self._check_slow(trace)
                         return result
@@ -603,8 +644,8 @@ class Session:
         trace.phase("execute", execute_seconds)
         trace.seconds = t_done - started
         trace.rows_affected = result.rows_affected
-        self._statements_metric.labels(kind=kind, outcome="ok").inc()
-        self._latency_metric.labels(kind=kind).observe(trace.seconds)
+        self._statement_children[kind, "ok"].inc()
+        self._latency_children[kind].observe(trace.seconds)
         self._track_result(result)
         pipeline = result.pipeline
         if pipeline is not None:
@@ -641,7 +682,10 @@ class Session:
         trace.error = f"{type(error).__name__}: {error}"
         trace.seconds = time.perf_counter() - started
         trace.finished = True
-        self._statements_metric.labels(kind=kind, outcome="error").inc()
+        child = self._statement_children.get((kind, "error"))
+        if child is None:  # the statement did not parse: kind "unknown"
+            child = self._statements_metric.labels(kind=kind, outcome="error")
+        child.inc()
         self._traces.append(trace)
         self._check_slow(trace)
 

@@ -104,6 +104,7 @@ from .errors import (
     SchemaError,
     SessionClosedError,
     StaleResultError,
+    StatementTooComplex,
     StorageError,
     TautologyError,
     UnionCompatibilityError,
@@ -138,6 +139,6 @@ __all__ = [
     "AlgebraError", "AttributeNotFound", "ConstraintViolation", "DomainError", "KeyViolation",
     "NotJoinableError", "NotNullViolation", "QuelError", "QuelLexError", "QuelParseError",
     "QuelSemanticError", "ReferentialViolation", "ReproError", "SchemaError",
-    "SessionClosedError", "StaleResultError",
+    "SessionClosedError", "StaleResultError", "StatementTooComplex",
     "StorageError", "TautologyError", "UnionCompatibilityError", "WalError", "WalWarning",
 ]

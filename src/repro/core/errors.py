@@ -87,6 +87,11 @@ class QuelParseError(QuelError):
         super().__init__(message)
 
 
+class StatementTooComplex(QuelParseError):
+    """A statement is over one of the front end's budgets in
+    :mod:`repro.limits`: too many bytes, or expressions nested too deep."""
+
+
 class QuelSemanticError(QuelError):
     """A QUEL query refers to unknown ranges, attributes, or mistyped terms."""
 

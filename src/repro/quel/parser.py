@@ -29,13 +29,18 @@ ambiguity with a comparison is resolved by context: target items can only
 be labels or column references.  ``$name`` placeholders (PARAMETER
 tokens) may stand wherever a literal may; they are bound with per-call
 values by the session layer.
+
+Each parenthesised sub-expression and each ``not`` is one level of
+nesting; past :data:`repro.limits.MAX_EXPRESSION_DEPTH` levels the
+parser raises :class:`StatementTooComplex` instead of recursing on.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from ..core.errors import QuelParseError
+from ..core.errors import QuelParseError, StatementTooComplex
+from ..limits import MAX_EXPRESSION_DEPTH
 from .ast_nodes import (
     AndExpr,
     AppendStatement,
@@ -65,6 +70,8 @@ class Parser:
     def __init__(self, tokens: List[Token]):
         self.tokens = tokens
         self.position = 0
+        #: Parentheses and ``not`` currently open around the cursor.
+        self.depth = 0
 
     # -- token utilities -------------------------------------------------------
     def _peek(self, offset: int = 0) -> Token:
@@ -234,15 +241,30 @@ class Parser:
             return operands[0]
         return AndExpr(tuple(operands))
 
+    def _descend(self, token: Token) -> None:
+        self.depth += 1
+        if self.depth > MAX_EXPRESSION_DEPTH:
+            raise StatementTooComplex(
+                f"expression nests deeper than {MAX_EXPRESSION_DEPTH} levels",
+                token.line, token.column,
+            )
+
     def _negation(self) -> Expression:
-        if self._match(TokenType.NOT):
-            return NotExpr(self._negation())
+        token = self._match(TokenType.NOT)
+        if token is not None:
+            self._descend(token)
+            inner = self._negation()
+            self.depth -= 1
+            return NotExpr(inner)
         return self._primary()
 
     def _primary(self) -> Expression:
-        if self._match(TokenType.LPAREN):
+        token = self._match(TokenType.LPAREN)
+        if token is not None:
+            self._descend(token)
             inner = self._expression()
             self._expect(TokenType.RPAREN, "')'")
+            self.depth -= 1
             return inner
         return self._comparison()
 

@@ -4,8 +4,12 @@ Pins the tentpole invariants of the unified client surface:
 
 * ``repro.connect`` sessions run every statement through the cost-based
   planner;
-* prepared plans are cached by normalized AST and re-used across calls
-  (observable through ``PreparedStatement.compile_count``);
+* prepared plans are cached by exact text, fall back to the normalized
+  AST, and are re-used across calls (observable through
+  ``PreparedStatement.compile_count``);
+* the front end's budget: an oversized text or an over-deep expression
+  is a ``StatementTooComplex`` (a 400 over HTTP), never a
+  ``RecursionError``;
 * the cache is stamped with the catalog/index/stats epoch — after
   ``create_index`` / ``drop_index`` / ``analyze`` the cached plan
   transparently re-plans and its explain output reflects the new
@@ -18,15 +22,27 @@ Pins the tentpole invariants of the unified client surface:
   tuple oracle (with and without indexes).
 """
 
+import threading
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro
 from repro.constraints.referential import ForeignKeyConstraint
 from repro.core.engine.dominance import DominanceIndex
-from repro.core.errors import QuelSemanticError, StaleResultError, StorageError
+from repro.core.errors import (
+    QuelSemanticError,
+    SessionClosedError,
+    StaleResultError,
+    StatementTooComplex,
+    StorageError,
+)
 from repro.core.tuples import XTuple
+from repro.limits import MAX_STATEMENT_BYTES
+from repro.obs import MetricsRegistry, parse_prometheus
 from repro.quel import run_query
+from repro.quel.ast_nodes import normalize_statement
+from repro.quel.parser import parse_statement
 from repro.stats import TableStatistics
 from repro.storage import Database
 from repro.storage.index import HashIndex
@@ -229,6 +245,185 @@ class TestPlanCacheInvalidation:
         epoch = db.epoch
         db.drop_table("TMP")
         assert db.epoch > epoch
+
+
+class TestTextKey:
+    """The statement LRU is keyed by exact text; a new text falls back to
+    the normalized AST, so variants still share one compiled statement."""
+
+    LOOKUP = 'range of e is EMP retrieve (e.NAME) where e.E# = $k'
+
+    def test_text_hit_matches_a_fresh_parse(self, db):
+        session = repro.connect(db)
+        first = session.execute(self.LOOKUP, {"k": 2})
+        assert first.rows == session.execute(self.LOOKUP, {"k": 2}).rows
+        hit = session.prepare(self.LOOKUP)
+        assert session.recent_traces()[-1].tags.get("result_cache") == "hit"
+        assert len(session.result_cache) == 1
+        # A session without a statement cache parses the text every time.
+        fresh = repro.connect(db, cache_size=0).prepare(self.LOOKUP)
+        assert fresh is not hit
+        assert hit.statement_key == fresh.statement_key
+        assert hit.statement_key == normalize_statement(parse_statement(self.LOOKUP))
+        assert hit.explain({"k": 2}) == fresh.explain({"k": 2})
+        assert hit.compile_count == 1
+
+    def test_variant_text_reuses_the_compiled_statement(self, session):
+        compact = session.prepare(self.LOOKUP)
+        compact.execute({"k": 1})
+        variant = session.prepare(
+            'range of e is EMP\n  retrieve (e.NAME)  -- by key\n'
+            '  where e.E# = $k'
+        )
+        assert variant is compact
+        assert session.cached_statements == 2
+        assert [r["e_NAME"] for r in variant.execute({"k": 3})] == ["BROWN"]
+        assert compact.compile_count == 1
+
+    def test_identical_text_replans_across_index_ddl(self, session, db):
+        def explained():
+            result = session.execute(self.LOOKUP, {"k": 2})
+            assert {r["e_NAME"] for r in result} == {"JONES"}
+            return result.explain()
+
+        assert "scan" in explained()
+        db.table("EMP").create_index(["E#"], name="emp_e")
+        assert "index select" in explained()
+        db.table("EMP").drop_index("emp_e")
+        assert "index" not in explained()
+        assert session.prepare(self.LOOKUP).compile_count == 3
+
+    @given(picks=st.lists(st.integers(0, 5), min_size=1, max_size=30),
+           size=st.integers(1, 4))
+    @settings(max_examples=30, deadline=None)
+    def test_cached_statements_never_exceed_cache_size(self, picks, size):
+        database = Database("lru")
+        database.create_table("T", ["A"])
+        session = repro.connect(database, cache_size=size)
+        texts = [
+            f"range of t is T retrieve (t.A) where t.A = {pick // 2}"
+            + " " * (pick % 2)
+            for pick in picks
+        ]
+        for text in texts:
+            prepared = session.prepare(text)
+            assert session.cached_statements <= size
+            assert prepared.statement_key == normalize_statement(
+                parse_statement(text)
+            )
+
+    def test_closed_session_text_hit_raises(self, session):
+        session.execute(self.LOOKUP, {"k": 1})
+        session.close()
+        with pytest.raises(SessionClosedError):
+            session.prepare(self.LOOKUP)
+        with pytest.raises(SessionClosedError):
+            session.execute(self.LOOKUP, {"k": 1})
+
+    def test_repeated_text_counts_one_miss_and_a_trace_per_statement(self):
+        """What CI's former metrics smoke asserted beyond
+        ``test_obs_metrics``: the same text executed three times is one
+        plan-cache miss and two hits, and every statement leaves a trace."""
+        registry = MetricsRegistry()
+        database = Database("smoke", metrics=registry)
+        database.create_table("T", ["A", "B"]).insert_many(
+            [(i, i % 5) for i in range(200)]
+        )
+        session = repro.connect(database)
+        text = "range of t is T retrieve (t.B) where t.A = $a"
+        for a in (1, 2, 3):
+            session.execute(text, {"a": a}).rows
+
+        def series(name, **labels):
+            parsed = parse_prometheus(registry.render_prometheus())
+            return parsed[(name, tuple(sorted(labels.items())))]
+
+        assert series("repro_plan_cache_total", event="miss") == 1
+        assert series("repro_plan_cache_total", event="hit") == 2
+        assert series("repro_statement_seconds_count", kind="retrieve") == 3
+        session.execute("append to T (A = 999, B = 0)")
+        with session.transaction():
+            session.execute("range of t is T replace t (B = 1) where t.A = 999")
+        assert series("repro_plan_cache_total", event="miss") == 3
+        assert [trace.kind for trace in session.recent_traces()] == (
+            ["retrieve"] * 3 + ["append", "replace"]
+        )
+
+
+class TestFrontEndBudget:
+    """Hostile statement shapes end in ``StatementTooComplex`` — a
+    ``QuelParseError``, so a 400 over HTTP — instead of a
+    ``RecursionError``, and an oversized text never reaches the cache."""
+
+    HEAD = "range of e is EMP retrieve (e.NAME) where "
+    PARENS = HEAD + "(" * 200 + "e.E# = 1" + ")" * 200
+    NOTS = HEAD + "not " * 1000 + "e.E# = 1"
+
+    def test_deep_nesting_is_too_complex(self, session):
+        for text in (self.PARENS, self.NOTS):
+            with pytest.raises(StatementTooComplex):
+                session.execute(text)
+            with pytest.raises(StatementTooComplex):
+                parse_statement(text)
+        assert session.cached_statements == 0
+
+    def test_nesting_within_the_budget_answers(self, session):
+        text = self.HEAD + "not " * 49 + "(" * 50 + "e.E# = 1" + ")" * 50
+        # 49 nots negate the equality: every row whose E# is known and not 1.
+        assert {r["e_NAME"] for r in session.execute(text)} == {
+            "JONES", "BROWN", "GREEN"
+        }
+
+    def test_oversized_text_is_refused_before_the_cache(self):
+        registry = MetricsRegistry()
+        database = Database("big", metrics=registry)
+        database.create_table("T", ["A"])
+        session = repro.connect(database)
+        text = "range of t is T retrieve (t.A)" + " " * MAX_STATEMENT_BYTES
+        with pytest.raises(StatementTooComplex):
+            session.prepare(text)
+        assert session.cached_statements == 0
+        # Multi-byte characters count at their encoded size.
+        wide = "range of t is T retrieve (t.A) -- " + "\u00e9" * (
+            MAX_STATEMENT_BYTES // 2
+        )
+        with pytest.raises(StatementTooComplex):
+            session.prepare(wide)
+        series = parse_prometheus(registry.render_prometheus())
+        assert series[("repro_plan_cache_total", (("event", "miss"),))] == 0
+
+    def test_hostile_statements_are_400_while_another_connection_reads(self, db):
+        from repro.server import ServerClient, ServerError, serve
+
+        handle = serve(db)
+        errors = []
+
+        def hostile():
+            with ServerClient.for_handle(handle) as client:
+                for _ in range(10):
+                    for text in (self.PARENS, self.NOTS):
+                        try:
+                            client.execute(text)
+                        except ServerError as error:
+                            errors.append((error.status, error.error_type))
+
+        try:
+            sender = threading.Thread(target=hostile)
+            sender.start()
+            with ServerClient.for_handle(handle) as reader:
+                while True:
+                    rows = reader.rows(
+                        "range of e is EMP retrieve (e.NAME) where e.E# = $k",
+                        {"k": 2},
+                    )
+                    assert rows == [{"e_NAME": "JONES"}]
+                    if not sender.is_alive():
+                        break
+            sender.join(timeout=30)
+            assert not sender.is_alive()
+        finally:
+            handle.stop()
+        assert errors == [(400, "StatementTooComplex")] * 20
 
 
 class TestPlanOnce:
