@@ -23,7 +23,6 @@ tree on demand.
 
 from __future__ import annotations
 
-import time
 from typing import Any, Callable, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.errors import QuelSemanticError, StorageError
@@ -182,7 +181,6 @@ class _PlanRetrieve(CompiledStatement):
         return self._tables
 
     def execute(self, params: Mapping[str, Any]) -> ResultSet:
-        started = time.perf_counter()
         pipeline = self.plan.compile(params)
         if self.into:
             # RETRIEVE INTO creates and loads a table: it must run now.
@@ -192,10 +190,6 @@ class _PlanRetrieve(CompiledStatement):
                 f"materialize {rows_affected} row(s) into new table {self.into}"
             ]
             return ResultSet(answer, rows_affected=rows_affected, steps=steps)
-        # Wall time of binding + compilation, read by the session's query
-        # trace to split the "plan" phase out of "execute" (overwritten
-        # on every execution).
-        self.last_plan_seconds = time.perf_counter() - started
         return ResultSet(pipeline=pipeline)
 
     def describe(self, params: Optional[Mapping[str, Any]] = None) -> str:

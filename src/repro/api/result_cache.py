@@ -30,7 +30,7 @@ database's registry, so they surface through ``GET /metrics``.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Hashable, List, Mapping, Optional, Sequence
+from typing import Any, Hashable, Mapping, Optional, Sequence, Tuple
 
 from ..obs import registry_for
 
@@ -47,16 +47,16 @@ class ResultCache:
 
     One per :class:`~repro.api.session.Session` (sessions are the client
     surface; entries are small — they alias the already-minimal answer
-    ``XRelation``, never copy rows).
+    ``XRelation``, never copy rows).  An entry is the immutable pair
+    ``(answer, step trace)``; a hit's sorted rows come from the answer's
+    own once-computed :meth:`~repro.core.xrelation.XRelation.sorted_rows`.
     """
 
     def __init__(self, database, capacity: int = DEFAULT_RESULT_CACHE_SIZE):
         self.database = database
         self.capacity = int(capacity)
-        #: key -> [answer XRelation, step-trace tuple, sorted-rows memo].
-        #: The third slot starts ``None`` and is filled by the first hit
-        #: that sorts the answer, so later hits skip the O(n log n) sort.
-        self._entries: "OrderedDict[Hashable, List[Any]]" = OrderedDict()
+        #: key -> (answer XRelation, step-trace tuple).
+        self._entries: "OrderedDict[Hashable, Tuple[Any, Tuple[str, ...]]]" = OrderedDict()
         registry = registry_for(database)
         self._events = registry.counter(
             "repro_result_cache_total",
@@ -101,11 +101,8 @@ class ResultCache:
         return (statement_key, bound, getattr(self.database, "epoch", None), stamps)
 
     # -- lookup / store -------------------------------------------------------
-    def lookup(self, key: Hashable) -> Optional[List[Any]]:
-        """The cached ``[answer, step trace, sorted-rows memo]`` for
-        *key*, or ``None``.  The returned list is the live entry: a
-        caller that sorts the answer may write the result into slot 2
-        so later hits share it (copy before exposing it to users)."""
+    def lookup(self, key: Hashable) -> Optional[Tuple[Any, Tuple[str, ...]]]:
+        """The cached ``(answer, step trace)`` for *key*, or ``None``."""
         entry = self._entries.get(key)
         if entry is None:
             self._events.labels(event="miss").inc()
@@ -119,7 +116,7 @@ class ResultCache:
         fresh = key not in entries
         if not fresh:
             entries.move_to_end(key)
-        entries[key] = [relation, tuple(steps), None]
+        entries[key] = (relation, tuple(steps))
         if fresh:
             self._occupancy.inc(1)
         while len(entries) > self.capacity:

@@ -24,15 +24,18 @@ compiled :class:`~repro.exec.Pipeline` and drains it on demand —
   is the roadmap's open consistent-reads item;
 * ``.rows`` / ``len()`` / ``.first()`` / ``.scalar()`` /
   ``.to_relation()`` drain the pipeline fully and return the canonical
-  minimal answer — ``.rows`` stays the stable sorted list it always was,
-  computed once and cached (result sets are immutable);
+  minimal answer — the one :class:`~repro.core.xrelation.XRelation` the
+  pipeline builds when its tree runs out of rows.  ``.rows`` is the
+  answer's sorted rows (sorted once per answer, so a result-cache hit
+  shares the sort of the drain that stored it), copied into a list the
+  caller owns; iterating a drained result set replays the answer too;
 * :meth:`explain` renders the executed logical step trace, and
   :meth:`explain` with ``analyze=True`` drains the pipeline and renders
   the physical operator tree with per-node estimated rows, actual rows
   and wall time.
 
 Mutation statements carry ``.rows_affected`` (they apply eagerly — DML
-is never deferred) plus, when available, the sink-rooted tree for
+is never deferred) plus, when available, the sink-rooted ``.tree`` for
 ``explain(analyze=True)``.
 """
 
@@ -83,7 +86,9 @@ class ResultSet:
         self._pipeline = pipeline
         self.rows_affected = rows_affected
         self._static_steps: Tuple[str, ...] = tuple(steps)
-        self._tree = tree
+        #: The physical tree of an eagerly executed statement (a DML
+        #: sink), ``None`` otherwise.
+        self.tree = tree
         self._sorted_rows: Optional[List[XTuple]] = None
 
     # -- materialisation -------------------------------------------------------
@@ -104,26 +109,20 @@ class ResultSet:
 
     @property
     def rows(self) -> List[XTuple]:
-        """The answer rows in a stable (sorted) order, computed once.
-
-        Result sets are immutable, so the sorted list is cached on first
-        access instead of re-sorting the relation every time.
-        """
+        """The answer rows in a stable (sorted) order: the answer's own
+        sort, copied once per result set into a list the caller owns."""
         if self._sorted_rows is None:
             relation = self._materialize()
-            if relation is None:
-                self._sorted_rows = []
-            else:
-                self._sorted_rows = relation.representation.sorted_rows()
+            self._sorted_rows = [] if relation is None else list(relation.sorted_rows())
         return self._sorted_rows
 
     def __iter__(self) -> Iterator[XTuple]:
         """Iterate the answer, streaming the pipeline when one is attached.
 
-        Before the result set materialises, rows are yielded as the
-        operator tree produces them (lazy, block at a time); afterwards
-        the canonical rows replay.  See the module docstring for the
-        pre-minimisation caveat on streamed rows.
+        Until the operator tree runs out of rows, rows are yielded as it
+        produces them (lazy, block at a time); afterwards — however the
+        tree drained — the canonical rows replay.  See the module
+        docstring for the pre-minimisation caveat on streamed rows.
         """
         if self._relation is None and self._pipeline is not None:
             return self._pipeline.iter_rows()
@@ -191,8 +190,8 @@ class ResultSet:
                 # fires), then render the fully-finished tree.
                 self._materialize()
                 return self._pipeline.explain(analyze=True)
-            if self._tree is not None:
-                return render_tree(self._tree, analyze=True)
+            if self.tree is not None:
+                return render_tree(self.tree, analyze=True)
         return "\n".join(f"{i + 1}. {step}" for i, step in enumerate(self.steps))
 
     @property

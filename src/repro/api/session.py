@@ -66,28 +66,6 @@ STATEMENT_KINDS = {
 }
 
 
-def _collect_operators(root) -> List[Dict[str, Any]]:
-    """Flatten a physical tree into per-operator actuals (depth-first,
-    root first) — what a trace's ``operators`` list holds."""
-    out: List[Dict[str, Any]] = []
-
-    def visit(node, depth: int) -> None:
-        out.append({
-            "operator": type(node).__name__,
-            "label": node.label,
-            "depth": depth,
-            "est": node.est,
-            "rows": node.actual_rows,
-            "blocks": node.actual_blocks,
-            "seconds": node.seconds,
-        })
-        for child in node.children:
-            visit(child, depth + 1)
-
-    visit(root, 0)
-    return out
-
-
 class PreparedStatement:
     """A statement compiled once, executable many times.
 
@@ -428,12 +406,6 @@ class Session:
                 "undrained result sets were invalidated by Session.close()"
             )
 
-    def _track_result(self, result: ResultSet) -> None:
-        """Remember *result*'s lazy pipeline so close() can invalidate it."""
-        pipeline = result.pipeline
-        if pipeline is not None:
-            self._pipelines.add(pipeline)
-
     def close(self) -> None:
         """Release the session: roll back any open transaction, invalidate
         every prepared handle and undrained lazy result set, and make all
@@ -533,7 +505,7 @@ class Session:
             prepared = self.prepare(text)
         except Exception as error:
             trace.phase("parse", time.perf_counter() - started)
-            self._fail_trace(trace, error, started)
+            self._record_statement(trace, started, error=error)
             raise
         trace.phase("parse", time.perf_counter() - started)
         return self._traced_execute(prepared, trace, started, params)
@@ -584,10 +556,9 @@ class Session:
         params: Optional[Mapping[str, Any]],
     ) -> ResultSet:
         """Run *prepared* inside *trace*: time the analyze/plan/execute
-        phases, count the statement, and — for a lazy retrieve — arm the
-        pipeline-completion hook that folds the drain-side actuals in."""
-        kind = prepared.kind
-        trace.kind = kind
+        phases, answer from the result cache when it holds the answer,
+        and record the outcome."""
+        trace.kind = prepared.kind
         cache_key = None
         try:
             t_analyze = time.perf_counter()
@@ -595,99 +566,144 @@ class Session:
             t_execute = time.perf_counter()
             trace.phase("analyze", t_execute - t_analyze)
             cache = self.result_cache
-            if cache is not None:
+            tables = compiled.referenced_tables() if cache is not None else None
+            if tables is not None:
                 # The key is computed *before* execution: versions are
                 # monotone, so a hit under this key is provably an answer
                 # for the tables' current states (see result_cache docs).
-                tables = compiled.referenced_tables()
-                if tables is not None:
-                    cache_key = cache.key_for(
-                        prepared.statement_key,
-                        params or {},
-                        compiled.parameters,
-                        tables,
-                    )
-                if cache_key is not None:
-                    hit = cache.lookup(cache_key)
-                    if hit is not None:
-                        relation, steps, sorted_rows = hit
-                        result = ResultSet(
-                            relation, steps=(CACHED_STEP,) + steps
-                        )
-                        if sorted_rows is None:
-                            # First hit sorts once; the entry memoizes it.
-                            sorted_rows = relation.representation.sorted_rows()
-                            hit[2] = sorted_rows
-                        result._sorted_rows = list(sorted_rows)
-                        t_done = time.perf_counter()
-                        trace.phase("execute", t_done - t_execute)
-                        trace.seconds = t_done - started
-                        trace.rows_out = len(relation)
-                        trace.plan = list(result.steps)
-                        trace.tags["result_cache"] = "hit"
-                        trace.finished = True
-                        self._statement_children[kind, "ok"].inc()
-                        self._latency_children[kind].observe(trace.seconds)
-                        self._traces.append(trace)
-                        self._check_slow(trace)
-                        return result
-            result = compiled.execute(params or {})
-            t_done = time.perf_counter()
-        except Exception as error:
-            self._fail_trace(trace, error, started, kind)
-            raise
-        execute_seconds = t_done - t_execute
-        plan_seconds = float(getattr(compiled, "last_plan_seconds", 0.0) or 0.0)
-        if 0.0 < plan_seconds <= execute_seconds:
-            trace.phase("plan", plan_seconds)
-            execute_seconds -= plan_seconds
-        trace.phase("execute", execute_seconds)
-        trace.seconds = t_done - started
-        trace.rows_affected = result.rows_affected
-        self._statement_children[kind, "ok"].inc()
-        self._latency_children[kind].observe(trace.seconds)
-        self._track_result(result)
-        pipeline = result.pipeline
-        if pipeline is not None:
-            # Lazy retrieve: the trace finishes when the tree drains (and
-            # the drained answer, if cacheable, lands in the result cache).
-            pipeline.on_complete = (
-                lambda p, error, _trace=trace, _key=cache_key: (
-                    self._pipeline_completed(_trace, p, error, _key)
+                cache_key = cache.key_for(
+                    prepared.statement_key,
+                    params or {},
+                    compiled.parameters,
+                    tables,
                 )
-            )
-        else:
-            trace.plan = list(result.steps)
-            tree = getattr(result, "_tree", None)
-            if tree is not None:
-                trace.operators = _collect_operators(tree)
-                self._record_tree_metrics(tree)
-            relation = getattr(result, "_relation", None)
-            if relation is not None:
-                trace.rows_out = len(relation)
-            trace.finished = True
-        self._traces.append(trace)
-        self._check_slow(trace)
+            hit = cache.lookup(cache_key) if cache_key is not None else None
+            if hit is not None:
+                answer, steps = hit
+                result = ResultSet(answer, steps=(CACHED_STEP,) + steps)
+                trace.tags["result_cache"] = "hit"
+                trace.phase("execute", time.perf_counter() - t_execute)
+            else:
+                result = compiled.execute(params or {})
+                # A lazy retrieve's execute call only binds and compiles
+                # its plan; its execution is the drain, timed by the tree.
+                phase = "plan" if result.pipeline is not None else "execute"
+                trace.phase(phase, time.perf_counter() - t_execute)
+        except Exception as error:
+            self._record_statement(trace, started, error=error)
+            raise
+        self._record_statement(trace, started, result=result, cache_key=cache_key)
         return result
 
-    def _fail_trace(
+    def _record_statement(
         self,
         trace: QueryTrace,
-        error: BaseException,
         started: float,
-        kind: str = "unknown",
+        error: Optional[BaseException] = None,
+        result: Optional[ResultSet] = None,
+        cache_key: Any = None,
     ) -> None:
-        trace.kind = kind
-        trace.outcome = "error"
-        trace.error = f"{type(error).__name__}: {error}"
+        """Count a statement's outcome and keep its trace, then finish
+        the trace — or, for a lazy retrieve, arm its pipeline to finish
+        it when the tree drains (or latches a failure)."""
         trace.seconds = time.perf_counter() - started
-        trace.finished = True
-        child = self._statement_children.get((kind, "error"))
+        outcome = "ok" if error is None else "error"
+        child = self._statement_children.get((trace.kind, outcome))
         if child is None:  # the statement did not parse: kind "unknown"
-            child = self._statements_metric.labels(kind=kind, outcome="error")
+            child = self._statements_metric.labels(kind=trace.kind, outcome=outcome)
         child.inc()
         self._traces.append(trace)
+        if error is not None:
+            self._finish_trace(trace, error=error)
+            return
+        self._latency_children[trace.kind].observe(trace.seconds)
+        trace.rows_affected = result.rows_affected
+        pipeline = result.pipeline
+        if pipeline is None:
+            self._finish_trace(trace, result=result)
+            return
+        self._pipelines.add(pipeline)
+        pipeline.on_complete = lambda p, error: self._finish_trace(
+            trace, error=error, pipeline=p, cache_key=cache_key
+        )
         self._check_slow(trace)
+
+    def _finish_trace(
+        self,
+        trace: QueryTrace,
+        error: Optional[BaseException] = None,
+        result: Optional[ResultSet] = None,
+        pipeline=None,
+        cache_key: Any = None,
+    ) -> None:
+        """Finish *trace* — the one place a statement's trace completes.
+
+        Four outcomes arrive here: a failure before any result set
+        exists (*error*); a result-cache hit and an eager DML or INTO
+        statement, finished at execute time (*result*); and a lazy
+        retrieve, finished by its *pipeline* when the tree exhausts or
+        latches *error*.  On a clean drain this is also where the answer
+        enters the result cache.
+        """
+        if error is not None:
+            trace.outcome = "error"
+            trace.error = f"{type(error).__name__}: {error}"
+            if isinstance(error, StaleResultError):
+                self._stale_metric.inc()
+        if pipeline is not None:
+            root = pipeline.root
+            trace.plan = pipeline.step_lines()
+            if root.started:
+                # The root's wall time covers the whole drain (children
+                # included) — fold it into the execute phase and the total.
+                trace.phase("execute", root.seconds)
+                trace.seconds += root.seconds
+                trace.rows_out = root.actual_rows
+                self._record_tree(trace, root)
+                for step in pipeline.trace:
+                    node = step.node
+                    if step.est is not None and node is not None and node.started:
+                        self._est_error_metric.observe(
+                            (node.actual_rows + 1.0) / (step.est + 1.0)
+                        )
+            if error is None and cache_key is not None:
+                self.result_cache.store(cache_key, pipeline.run(), trace.plan)
+        elif result is not None:
+            trace.plan = list(result.steps)
+            if result.tree is not None:
+                self._record_tree(trace, result.tree)
+            answer = result.to_relation()
+            if answer is not None:
+                trace.rows_out = len(answer)
+        trace.finished = True
+        self._check_slow(trace)
+
+    def _record_tree(self, trace: QueryTrace, root) -> None:
+        """Walk a finished operator tree once: its per-operator actuals
+        become ``trace.operators`` (depth-first, root first) and feed the
+        exec counters."""
+        operators: List[Dict[str, Any]] = []
+        blocks = 0
+        stack = [(root, 0)]
+        while stack:
+            node, depth = stack.pop()
+            operator = type(node).__name__
+            operators.append({
+                "operator": operator,
+                "label": node.label,
+                "depth": depth,
+                "est": node.est,
+                "rows": node.actual_rows,
+                "blocks": node.actual_blocks,
+                "seconds": node.seconds,
+            })
+            self._operator_rows_metric.labels(operator=operator).inc(node.actual_rows)
+            self._operator_seconds_metric.labels(operator=operator).inc(node.seconds)
+            blocks += node.actual_blocks
+            stack.extend((child, depth + 1) for child in reversed(node.children))
+        trace.operators = operators
+        self._exec_rows_metric.inc(root.actual_rows)
+        self._exec_blocks_metric.inc(blocks)
 
     def _check_slow(self, trace: QueryTrace) -> None:
         threshold = self.slow_query_threshold
@@ -702,63 +718,6 @@ class Session:
             trace.kind,
             trace.text.strip(),
         )
-
-    def _record_tree_metrics(self, root) -> None:
-        """Fold one completed physical tree into the exec counters."""
-        total_blocks = 0
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            operator = type(node).__name__
-            self._operator_rows_metric.labels(operator=operator).inc(
-                node.actual_rows
-            )
-            self._operator_seconds_metric.labels(operator=operator).inc(
-                node.seconds
-            )
-            total_blocks += node.actual_blocks
-            stack.extend(node.children)
-        self._exec_rows_metric.inc(root.actual_rows)
-        self._exec_blocks_metric.inc(total_blocks)
-
-    def _pipeline_completed(
-        self, trace: QueryTrace, pipeline, error, cache_key=None
-    ) -> None:
-        """The drain-side half of a lazy retrieve's trace (called once by
-        the pipeline when it exhausts or latches a failure).  On a clean
-        drain this is also where the answer enters the result cache."""
-        if error is not None:
-            trace.outcome = "error"
-            trace.error = f"{type(error).__name__}: {error}"
-            if isinstance(error, StaleResultError):
-                self._stale_metric.inc()
-        root = pipeline.root
-        if root is not None and root.started:
-            # The root's wall time covers the whole drain (children
-            # included) — fold it into the execute phase and the total.
-            trace.phase("execute", root.seconds)
-            trace.seconds += root.seconds
-            trace.rows_out = root.actual_rows
-            trace.operators = _collect_operators(root)
-            self._record_tree_metrics(root)
-            for step in pipeline.trace:
-                node = step.node
-                if step.est is not None and node is not None and node.started:
-                    self._est_error_metric.observe(
-                        (node.actual_rows + 1.0) / (step.est + 1.0)
-                    )
-        steps = pipeline.step_lines()
-        trace.plan = steps
-        if (
-            error is None
-            and cache_key is not None
-            and self.result_cache is not None
-        ):
-            relation = pipeline.completed_relation()
-            if relation is not None:
-                self.result_cache.store(cache_key, relation, steps)
-        trace.finished = True
-        self._check_slow(trace)
 
     def recent_traces(self, limit: Optional[int] = None) -> List[QueryTrace]:
         """The most recent query traces, oldest first (bounded by the

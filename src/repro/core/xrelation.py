@@ -37,12 +37,13 @@ class XRelation:
     representation is immediately reduced to minimal form and frozen.
     """
 
-    __slots__ = ("_relation", "_row_set")
+    __slots__ = ("_relation", "_row_set", "_sorted")
 
     def __init__(self, representation: Relation):
         minimal = representation.minimal()
         self._relation = minimal
         self._row_set: FrozenSet[XTuple] = frozenset(minimal.tuples())
+        self._sorted: Optional[Tuple[XTuple, ...]] = None
 
     # -- constructors ----------------------------------------------------------
     @classmethod
@@ -85,6 +86,13 @@ class XRelation:
     def rows(self) -> FrozenSet[XTuple]:
         """The rows of the minimal representation."""
         return self._row_set
+
+    def sorted_rows(self) -> Tuple[XTuple, ...]:
+        """The minimal rows in :meth:`Relation.sorted_rows` order, sorted
+        once: the x-relation is immutable, so every reader shares it."""
+        if self._sorted is None:
+            self._sorted = tuple(self._relation.sorted_rows())
+        return self._sorted
 
     def __iter__(self) -> Iterator[XTuple]:
         return iter(self._row_set)

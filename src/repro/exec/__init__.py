@@ -7,9 +7,10 @@ function that turns it into a tree of the physical operators defined
 here.  The tree pulls fixed-size blocks of tuples from leaf to root —
 non-blocking operators stream rows through without ever constructing an
 intermediate
-:class:`~repro.core.xrelation.XRelation`, while the blocking ones
-(:class:`Reduce`, :class:`Materialize`, the join build sides, the DML
-sinks) break the pipeline exactly where the semantics require it.
+:class:`~repro.core.xrelation.XRelation`, while the blocking ones (the
+join build sides, the DML sinks) break the pipeline exactly where the
+semantics require it; the :class:`Pipeline` builds the minimal answer
+once, when the tree runs out of rows.
 
 Every operator records its actual row count and wall time while the tree
 drains, so ``ResultSet.explain(analyze=True)`` turns the optimizer's
@@ -19,8 +20,7 @@ The exported surface:
 
 * operators — :class:`TableScan`, :class:`IndexProbe`, :class:`Filter`,
   :class:`Rename`, :class:`Project`, :class:`HashJoin`,
-  :class:`IndexNLJoin`, :class:`Product`, :class:`Reduce`,
-  :class:`Materialize`;
+  :class:`IndexNLJoin`, :class:`Product`;
 * DML sinks — :class:`AppendSink`, :class:`DeleteSink`,
   :class:`ReplaceSink`;
 * :class:`LogicalOp` / :func:`build_tree` — the logical plan as data
@@ -40,11 +40,9 @@ from .operators import (
     HashJoin,
     IndexNLJoin,
     IndexProbe,
-    Materialize,
     PhysicalOperator,
     Product,
     Project,
-    Reduce,
     Rename,
     TableScan,
 )
@@ -60,12 +58,10 @@ __all__ = [
     "IndexNLJoin",
     "IndexProbe",
     "LogicalOp",
-    "Materialize",
     "PhysicalOperator",
     "Pipeline",
     "Product",
     "Project",
-    "Reduce",
     "Rename",
     "ReplaceSink",
     "Sink",

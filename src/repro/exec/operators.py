@@ -21,10 +21,12 @@ one node however many conjuncts it carries.
 Non-blocking operators (:class:`Filter`, :class:`Rename`,
 :class:`Project`, the probe sides of :class:`HashJoin` /
 :class:`IndexNLJoin`, :class:`Product`) stream rows through without ever
-building an intermediate :class:`~repro.core.xrelation.XRelation`; the
-blocking ones (:class:`Reduce`, :class:`Materialize`, the build sides of
-the joins) drain their input first, exactly where a pipeline breaker is
-semantically required.  Row-level semantics come from the kernels in
+building an intermediate :class:`~repro.core.xrelation.XRelation`; only
+the build sides of the joins and :class:`Product`'s right side drain
+their input first, exactly where a pipeline breaker is semantically
+required.  Reduction to minimal form (Definition 4.6) is no operator:
+the :class:`~repro.exec.pipeline.Pipeline` does it once, when its tree
+runs out of rows.  Row-level semantics come from the kernels in
 :mod:`repro.core.algebra` (``constant_selection`` /
 ``select_predicate_rows``) and :mod:`repro.core.engine.joins`
 (``build_join_buckets`` / ``probe_join_block``) — the same ones the
@@ -40,11 +42,8 @@ from time import perf_counter
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.algebra import constant_selection, select_predicate_rows
-from ..core.engine.dominance import bulk_reduce
 from ..core.engine.joins import build_join_buckets, probe_join_block
-from ..core.relation import Relation, RelationSchema
 from ..core.tuples import XTuple
-from ..core.xrelation import XRelation
 
 #: Default number of tuples per exchanged block.
 BLOCK_SIZE = 256
@@ -274,9 +273,8 @@ class Project(PhysicalOperator):
     into a set), so on null-free data the operator's ``actual_rows`` is
     the answer's row count even on duplicate-heavy inputs; *dominated*
     rows are left for the final materialisation
-    (:meth:`Pipeline.run <repro.exec.pipeline.Pipeline.run>`, or a
-    :class:`Reduce`/:class:`Materialize` sink on a hand-built tree),
-    which is where minimal form is restored.
+    (:meth:`Pipeline.run <repro.exec.pipeline.Pipeline.run>`), which is
+    where minimal form is restored.
     """
 
     def __init__(
@@ -436,72 +434,3 @@ class Product(PhysicalOperator):
         # Re-blocked: one input block fans out |block|·|right| ways, so
         # the output must be chopped back down to bounded blocks.
         return self._reblock(joined())
-
-
-# ---------------------------------------------------------------------------
-# Blocking operators
-# ---------------------------------------------------------------------------
-
-class Reduce(PhysicalOperator):
-    """Reduction to minimal form (Definition 4.6) — a pipeline breaker.
-
-    Wraps :func:`repro.core.engine.dominance.bulk_reduce`: the input must
-    be complete before any dominated row can be ruled out, so the child
-    is drained first and the minimal rows are re-emitted in blocks.
-    The planner's compiled trees defer all reduction to the single final
-    materialisation (:meth:`Pipeline.run`), so this operator serves
-    hand-built trees.
-    """
-
-    def __init__(self, child: PhysicalOperator, **kwargs: Any):
-        kwargs.setdefault("label", "Reduce")
-        super().__init__((child,), **kwargs)
-        self.child = child
-
-    def _blocks(self) -> Iterator[Block]:
-        def reduced() -> Iterator[XTuple]:
-            # Inside the generator so the blocking drain + reduction run
-            # under this node's timing, not the caller's.
-            staged: List[XTuple] = []
-            for block in self.child.blocks():
-                staged.extend(block)
-            yield from bulk_reduce(staged)
-
-        return self._reblock(reduced())
-
-
-class Materialize(PhysicalOperator):
-    """Drain the pipeline into an :class:`XRelation` — the tree's sink.
-
-    The drained rows are housed under *schema* and reduced to minimal
-    form by the x-relation invariant itself; :meth:`relation` caches the
-    result, so a drained tree can be asked again for free.  Planner
-    pipelines materialise through :meth:`Pipeline.run` (which must also
-    support partial lazy consumption); this operator is the equivalent
-    sink for hand-built trees.
-    """
-
-    def __init__(self, child: PhysicalOperator, schema: RelationSchema, **kwargs: Any):
-        kwargs.setdefault("label", f"Materialize {schema.name}")
-        super().__init__((child,), **kwargs)
-        self.child = child
-        self.schema = schema
-        self._result: Optional[XRelation] = None
-
-    def _blocks(self) -> Iterator[Block]:
-        def materialized() -> Iterator[XTuple]:
-            # Inside the generator so the blocking drain runs under this
-            # node's timing, not the caller's.
-            yield from self.relation().rows()
-
-        return self._reblock(materialized())
-
-    def relation(self) -> XRelation:
-        if self._result is None:
-            rows: set = set()
-            for block in self.child.blocks():
-                rows.update(block)
-            relation = Relation(self.schema, validate=False)
-            relation._rows = rows
-            self._result = XRelation(relation)
-        return self._result

@@ -16,6 +16,11 @@ their rows.  It supports two consumption styles:
   :class:`XRelation`.  Partial lazy consumption is resumed, never
   repeated: the pipeline owns the single block iterator.
 
+The canonical answer has one construction site: the pull that finds
+the tree exhausted builds it (and drops the streamed-row buffer) before
+the completion hook runs, so the hook, :meth:`run` and every later
+iterator all see the same :class:`XRelation`.
+
 :class:`TraceStep` is the rendering unit of the *logical* step trace:
 every ``[est=…, rows=…]`` annotation in ``Plan.steps`` and
 ``ResultSet.explain()`` comes from its one format path.
@@ -172,13 +177,11 @@ class Pipeline:
         self._exhausted = False
         self._result: Optional[XRelation] = None
         self._error: Optional[BaseException] = None
-        #: True once :meth:`run` has cached the canonical answer and
-        #: dropped the streamed-row buffer.
-        self._released = False
         #: Called exactly once as ``on_complete(pipeline, error)`` when
-        #: the tree exhausts (``error=None``) or latches a failure — the
-        #: observability layer's hook for folding drain-side actuals into
-        #: the statement's trace.  Assignable after construction.
+        #: the tree exhausts (``error=None``, with :meth:`run` already
+        #: answering without a pull) or latches a failure — the session's
+        #: hook for finishing the statement's trace.  Assignable after
+        #: construction.
         self.on_complete = on_complete
         self._completed = False
 
@@ -205,6 +208,11 @@ class Pipeline:
     def _pull(self) -> bool:
         """Advance by one block; False when the tree is exhausted.
 
+        The pull that finds the tree exhausted builds the canonical
+        answer from the streamed rows and drops their buffer — a retained
+        result set pins one copy of its rows, not two — before the
+        completion hook runs.
+
         An operator error latches: a generator that raised is closed and
         would report plain ``StopIteration`` on the next pull, silently
         passing off the partial prefix as the canonical answer — so the
@@ -226,6 +234,10 @@ class Pipeline:
         try:
             block = next(self._blocks)
         except StopIteration:
+            relation = Relation(self.schema, validate=False)
+            relation._rows = set(self._ordered)
+            self._result = XRelation(relation)
+            self._ordered = []
             self._exhausted = True
             self._notify_complete(None)
             return False
@@ -243,82 +255,40 @@ class Pipeline:
         tops its trees with a de-duplicating :class:`Project`); rows
         already pulled — by an earlier iterator or a partial drain — are
         replayed from the accumulated prefix, so concurrent iterators see
-        the same sequence.  Once :meth:`run` has cached the canonical
-        answer the streamed-row buffer is released: iterators already in
-        flight complete over the full streamed sequence (they hold the
-        buffer), while fresh ones replay the canonical rows.
+        the same sequence.  Once the tree is exhausted the streamed-row
+        buffer is released: iterators already in flight complete over the
+        full streamed sequence (they hold the buffer), while fresh ones
+        replay the canonical rows.
         """
-        if self._released:
+        if self._result is not None:
             yield from self._result.rows()
             return
-        ordered = self._ordered  # stable even if run() releases the buffer
+        ordered = self._ordered  # stable when the drain releases the buffer
         i = 0
         while True:
             while i < len(ordered):
                 yield ordered[i]
                 i += 1
-            if self._released or not self._pull():
+            if not self._pull():
                 break
-        while i < len(ordered):
-            yield ordered[i]
-            i += 1
 
     def invalidate(self, error: BaseException) -> None:
         """Latch *error* onto an undrained pipeline so every later pull
         raises it (the session-close path: an open lazy result set whose
         session went away fails loudly instead of streaming on).  A
-        pipeline that already finished — drained, released, or already
-        latched — is left untouched: its cached answer stays readable.
+        pipeline that already finished — drained or already latched — is
+        left untouched: its canonical answer stays readable.
         """
-        if self._exhausted or self._released or self._error is not None:
+        if self._exhausted or self._error is not None:
             return
         self._error = error
         self._notify_complete(error)
 
     def run(self) -> XRelation:
-        """Drain the tree and return the canonical minimal answer.
-
-        The streamed-row buffer is dropped once the answer is cached — a
-        retained result set should pin one copy of its rows, not two —
-        and the leaf operators release their snapshots as they exhaust.
-        """
-        if self._result is None:
-            while self._pull():
-                pass
-            # The on_complete hook (which fires during the final pull)
-            # may already have installed the canonical answer via
-            # completed_relation() — never rebuild over it: the streamed
-            # buffer was released with it.
-            if self._result is None:
-                relation = Relation(self.schema, validate=False)
-                relation._rows = set(self._ordered)
-                self._result = XRelation(relation)
-                self._ordered = []
-                self._released = True
-        return self._result
-
-    def completed_relation(self) -> Optional[XRelation]:
-        """The canonical answer of an already-exhausted pipeline, or
-        ``None`` while anything is still in flight (or after a failure).
-
-        Unlike :meth:`run` this never pulls: it is safe to call from
-        inside the ``on_complete`` hook, which fires *during* the final
-        pull — ``_ordered`` holds the full streamed output at that point
-        but ``run`` has not yet cached (and must not be re-entered).  The
-        answer built here is installed as the pipeline's canonical result
-        (with the streamed buffer released, exactly as :meth:`run` does),
-        so the result cache and a later ``run()`` share one
-        :class:`XRelation` rather than materialising twice.
-        """
-        if self._result is not None:
-            return self._result
-        if not self._exhausted or self._error is not None:
-            return None
-        relation = Relation(self.schema, validate=False)
-        relation._rows = set(self._ordered)
-        self._result = XRelation(relation)
-        self._ordered = []
-        self._released = True
+        """Drain the tree and return the canonical minimal answer (the
+        leaf operators release their snapshots as they exhaust)."""
+        while self._pull():
+            pass
         return self._result
 
     # -- provenance ------------------------------------------------------------

@@ -2,13 +2,16 @@
 
 :class:`repro.api.session.Session` opens a :class:`QueryTrace` around
 every ``execute()`` — phase wall times (parse → analyze/plan → execute),
-the statement kind, the chosen plan shape, and rows in/out.  For lazy
-retrieves the executor finalises the trace when the pipeline drains,
-folding in the per-operator actuals (est/actual rows, per-node seconds)
-the PR 5 pipeline already measures.  Traces land in the session's ring
-buffer (``Session.recent_traces()``) and, past
-``Session.slow_query_threshold`` seconds, in the slow-query log (the
-``repro.obs`` logger plus the ``repro_slow_queries_total`` counter).
+the statement kind, the chosen plan shape, and rows in/out.  One session
+function finishes every trace: a failure, a result-cache hit and an
+eager DML or INTO statement finish at execute time, and a lazy retrieve
+finishes when its pipeline drains (or fails), folding in the
+per-operator actuals (est/actual rows, per-node seconds) of the drained
+tree — walked once for the trace and the exec counters together.
+Traces land in the session's ring buffer (``Session.recent_traces()``)
+and, past ``Session.slow_query_threshold`` seconds, in the slow-query
+log (the ``repro.obs`` logger plus the ``repro_slow_queries_total``
+counter).
 """
 
 from __future__ import annotations
@@ -52,10 +55,10 @@ class QueryTrace:
         self.kind: str = "unknown"
         #: phase name -> wall seconds.  ``parse`` covers lexing/parsing
         #: and the plan-cache lookup; ``analyze`` covers semantic
-        #: analysis + compilation (≈0 on a cache hit); ``plan`` the
-        #: physical planning done per execution; ``execute`` the
-        #: execution itself (drain time is folded in when a lazy
-        #: pipeline completes).
+        #: analysis + compilation (≈0 on a cache hit); ``plan`` binding
+        #: a lazy retrieve's plan and building its operator tree;
+        #: ``execute`` the execution itself (a lazy retrieve's is its
+        #: drain, folded in when the pipeline completes).
         self.phases: Dict[str, float] = {}
         self.outcome: str = "ok"
         self.error: Optional[str] = None

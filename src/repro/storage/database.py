@@ -388,52 +388,26 @@ class Database(Mapping[str, Relation]):
             }
         return out
 
-    def restore(self, snapshot: Mapping[str, Any]) -> None:
-        """Wholesale restore: each table goes through the bulk-rebuild path
+    def restore(self, snapshot: Mapping[str, Dict[str, Any]]) -> None:
+        """Wholesale restore of a :meth:`snapshot` into the same catalog:
+        each table goes through the bulk-rebuild path
         (:meth:`Table.reset_rows` — one partition pass per index, no
         per-row maintenance), its index set is reconciled with the
         snapshot's specs (indexes created since the snapshot are dropped,
         dropped ones are recreated), and its statistics are restored from
-        the snapshot's copy when it carries one.
+        the snapshot's copy.
 
-        The *catalog* is reconciled too: a table created after the
-        snapshot was taken is dropped (in passes, so foreign keys between
-        such tables cannot wedge the order — a created table still
-        referenced by a surviving foreign key fails the restore loudly).
-        Only full-format snapshots (every entry a mapping, as
-        :meth:`snapshot` produces) reconcile the catalog; legacy row-set
-        snapshots (``{name: set of rows}``) restore rows only, leaving
-        the current indexes and any other tables in place."""
-        full_format = all(isinstance(entry, Mapping) for entry in snapshot.values())
-        if full_format:
-            created = [
-                name for name in self.catalog.table_names() if name not in snapshot
-            ]
-            while created:
-                progressed = False
-                for name in list(created):
-                    try:
-                        self.catalog.drop_table(name)
-                    except StorageError:
-                        continue
-                    created.remove(name)
-                    progressed = True
-                if not progressed:
-                    raise StorageError(
-                        f"cannot restore: table(s) {created} created after the "
-                        f"snapshot are referenced by surviving foreign keys"
-                    )
+        Rows, indexes and statistics are restored; the catalog is not.
+        Every snapshotted table must still exist, and a table created
+        after the snapshot is left as it is."""
         for name, entry in snapshot.items():
             table = self.catalog.table(name)
-            if not isinstance(entry, Mapping):
-                table.reset_rows(entry)
-                continue
-            specs = entry.get("indexes", {})
+            specs = entry["indexes"]
             for index_name in list(table.indexes):
                 spec = specs.get(index_name)
                 if spec is None or tuple(spec) != table.indexes[index_name].attributes:
                     table.drop_index(index_name)
-            table.reset_rows(entry["rows"], statistics=entry.get("statistics"))
+            table.reset_rows(entry["rows"], statistics=entry["statistics"])
             for index_name, attributes in specs.items():
                 if index_name not in table.indexes:
                     table.create_index(attributes, name=index_name)

@@ -42,11 +42,9 @@ from repro.exec import (
     HashJoin,
     IndexNLJoin,
     IndexProbe,
-    Materialize,
     Pipeline,
     Product,
     Project,
-    Reduce,
     Rename,
     ReplaceSink,
     TableScan,
@@ -236,26 +234,6 @@ class TestJoins:
     def test_product_empty_right_side(self):
         node = Product(scan_of(rows_of({"l.A": 1})), scan_of([]))
         assert drain(node) == []
-
-
-class TestBlockingOperators:
-    def test_reduce_drops_dominated_rows_across_blocks(self):
-        rows = rows_of({"A": 1, "B": 2}, {"A": 1}, {"B": 9}, {"A": 1, "B": 2})
-        node = Reduce(scan_of(rows, block_size=1), block_size=1)
-        out = drain(node)
-        assert set(out) == {XTuple({"A": 1, "B": 2}), XTuple({"B": 9})}
-
-    def test_reduce_empty_input(self):
-        assert drain(Reduce(scan_of([]))) == []
-
-    def test_materialize_returns_the_minimal_xrelation(self):
-        rows = rows_of({"A": 1, "B": 2}, {"A": 1})
-        schema = RelationSchema(("A", "B"), name="M")
-        node = Materialize(scan_of(rows), schema)
-        answer = node.relation()
-        assert isinstance(answer, XRelation)
-        assert set(answer.rows()) == {XTuple({"A": 1, "B": 2})}
-        assert node.relation() is answer  # cached
 
 
 class TestPipeline:

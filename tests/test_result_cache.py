@@ -93,6 +93,36 @@ class TestHitsAndMisses:
         assert "cached result" not in repeat.explain()
 
 
+class TestDeliveredRows:
+    """A client reading one answer twice sees the same rows, whatever the
+    cache holds."""
+
+    @pytest.mark.parametrize("cache_size", [128, 0])
+    def test_reiterating_a_drained_result_replays_the_minimal_answer(self, cache_size):
+        database = Database("nulls", metrics=MetricsRegistry())
+        database.create_table("T", ["A", "B"]).insert_many([(1, None), (1, 5), (2, None)])
+        session = Session(database, result_cache_size=cache_size)
+        result = session.execute("range of t is T retrieve (t.A, t.B)")
+        list(iter(result))  # streams, then drains the tree
+        again = list(iter(result))
+        # (1, 5) dominates (1, ni): the minimal answer has two rows.
+        assert len(again) == 2
+        assert set(again) == set(result.rows)
+
+    def test_mutating_delivered_rows_leaves_later_hits_intact(self):
+        database = fresh_database()
+        session = Session(database)
+        drained = session.execute(QUERY)
+        expected = list(drained.rows)
+        drained.rows.pop()
+        hit = session.execute(QUERY)
+        assert "cached result" in hit.explain()
+        assert hit.rows == expected
+        hit.rows.reverse()
+        hit.rows.append(None)
+        assert session.execute(QUERY).rows == expected
+
+
 class TestStructuralInvalidation:
     def test_dml_invalidates(self):
         database = fresh_database()

@@ -306,16 +306,6 @@ class TestIndexManagement:
         assert len(table.lookup(["A"], [1])) == 1
         assert len(db["T"]) == 2
 
-    def test_restore_accepts_legacy_row_snapshots(self):
-        db = Database("legacy")
-        table = db.create_table("T", ["A"])
-        table.insert((1,))
-        table.create_index(["A"], name="ia")
-        db.restore({"T": {XTuple({"A": 7})}})
-        # Rows replaced; the (unsnapshotted) index survives and is rebuilt.
-        assert {r["A"] for r in table.rows()} == {7}
-        assert len(table.lookup(["A"], [7])) == 1
-
     def test_catalog_index_specs(self):
         catalog = Catalog()
         table = catalog.create_table("T", ["A", "B"])
@@ -324,32 +314,6 @@ class TestIndexManagement:
 
 
 class TestSnapshotRestore:
-    def test_restore_drops_tables_created_after_snapshot(self):
-        # Regression: restore() itself must reconcile the catalog — a
-        # caller holding only the snapshot has no record of which tables
-        # appeared after it was taken.
-        db = Database("reconcile")
-        db.create_table("T", ["A"])
-        db.insert("T", (1,))
-        snapshot = db.snapshot()
-        db.create_table("LATER", ["X"])
-        db.insert("LATER", (9,))
-        db.restore(snapshot)
-        assert db.catalog.table_names() == ["T"]
-        assert {r["A"] for r in db.table("T").rows()} == {1}
-
-    def test_restore_drops_created_tables_despite_fk_order(self):
-        # Two post-snapshot tables where one references the other: the
-        # reconciliation loop must retry until the dependency order works.
-        db = Database("fkorder")
-        db.create_table("T", ["A"])
-        snapshot = db.snapshot()
-        db.create_table("PARENT", ["P"], constraints=[KeyConstraint(["P"])])
-        db.create_table("CHILD", ["C", "P"])
-        db.add_foreign_key("CHILD", ForeignKeyConstraint(["P"], "PARENT", ["P"]))
-        db.restore(snapshot)
-        assert db.catalog.table_names() == ["T"]
-
     def test_snapshot_carries_statistics(self):
         # Regression: restore() used to re-ANALYZE from the restored rows,
         # silently replacing the snapshot-time statistics profile.
