@@ -189,7 +189,9 @@ class _PlanRetrieve(CompiledStatement):
             steps = pipeline.step_lines() + [
                 f"materialize {rows_affected} row(s) into new table {self.into}"
             ]
-            return ResultSet(answer, rows_affected=rows_affected, steps=steps)
+            return ResultSet(
+                answer, rows_affected=rows_affected, steps=steps, tree=pipeline.root
+            )
         return ResultSet(pipeline=pipeline)
 
     def describe(self, params: Optional[Mapping[str, Any]] = None) -> str:

@@ -29,9 +29,10 @@ difference live in :mod:`repro.core.setops` and are re-exported here so
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Optional, Sequence, Union
+from typing import Any, Iterable, List, Sequence, Union
 
 from . import setops
+from .engine.joins import equi_join_rows
 from .errors import AlgebraError, AttributeNotFound
 from .relation import Relation, RelationSchema
 from .nulls import NULL_CLASSES
@@ -219,7 +220,10 @@ def join_on(left: RelationLike, right: RelationLike, on: Sequence[str]) -> XRela
     """Equi-join on X, ``R1 (·X) R2``: join X-total rows that agree on X.
 
     Unlike the product, the join columns are shared rather than repeated,
-    so the operand schemas overlap exactly on X.
+    so the operand schemas overlap exactly on X.  The hash join is
+    :func:`~repro.core.engine.joins.equi_join_rows`, so a row holding a
+    null of any kind on X joins nothing — the answer of
+    :func:`theta_join`'s ``=`` over renamed operands.
     """
     rep1, rep2 = _rep(left), _rep(right)
     on = tuple(on)
@@ -240,21 +244,7 @@ def join_on(left: RelationLike, right: RelationLike, on: Sequence[str]) -> XRela
             f"rename one side first"
         )
     schema = rep1.schema.union(rep2.schema, name=f"({rep1.name} ⋈{list(on)} {rep2.name})")
-    # Hash-join via the storage layer's index: X-total rows of the right
-    # operand land in the value buckets, rows null on X land in the
-    # unindexed bucket — which the inner join ignores, since only X-total
-    # rows participate by definition.
-    from ..storage.index import HashIndex  # local import: storage builds on core
-    index = HashIndex(on)
-    for r2 in rep2.tuples():
-        index.insert(r2)
-    rows: List[XTuple] = []
-    for r1 in rep1.tuples():
-        if not r1.is_total_on(on):
-            continue
-        for r2 in index.lookup([r1[a] for a in on]):  # same X-value → joinable on X
-            rows.append(r1.join(r2))
-    return _wrap(schema, rows)
+    return _wrap(schema, equi_join_rows(rep1.tuples(), rep2.tuples(), on, on))
 
 
 def union_join(left: RelationLike, right: RelationLike, on: Sequence[str]) -> XRelation:
@@ -375,18 +365,17 @@ def divide(dividend: RelationLike, divisor: RelationLike, by: Sequence[str]) -> 
     # R_Y[Y]
     quotient_candidates = project(r_y, by)
 
-    # (R_Y[Y] × S): pair every candidate with every divisor row.
+    # (R_Y[Y] × S): pair every candidate with every divisor row — a plain
+    # product, since the divisor's scope is disjoint from Y (checked above).
     divisor_scope = rep_s.scope()
     if not divisor_scope:
         # Dividing by an (equivalent-to-)empty divisor: every Y-total
         # candidate trivially qualifies.
         return quotient_candidates
-    shared = [a for a in divisor_scope if a in rep_r.schema.attributes]
-    if set(shared) != set(divisor_scope):
-        missing = [a for a in divisor_scope if a not in rep_r.schema.attributes]
+    missing = [a for a in divisor_scope if a not in rep_r.schema.attributes]
+    if missing:
         raise AlgebraError(f"divisor attributes {missing} do not appear in the dividend")
-    pairs = product(quotient_candidates, project(rep_s, divisor_scope)) \
-        if not shared else _pairing_product(quotient_candidates, project(rep_s, divisor_scope))
+    pairs = product(quotient_candidates, project(rep_s, divisor_scope))
 
     # ((R_Y[Y] × S) − R_Y)[Y]: the candidates missing at least one divisor row.
     missing_pairs = XRelation(setops.difference(pairs.representation, r_y))
@@ -394,55 +383,6 @@ def divide(dividend: RelationLike, divisor: RelationLike, by: Sequence[str]) -> 
 
     # R_Y[Y] − disqualified
     return XRelation(setops.difference(quotient_candidates.representation, disqualified.representation))
-
-
-def _pairing_product(left: XRelation, right: XRelation) -> XRelation:
-    """Cartesian product that tolerates overlapping schemas by construction.
-
-    In the division formula the candidate set (over Y) and the divisor
-    (over Z) always have disjoint *scopes*, but their declared schemas may
-    overlap textually after projections; this helper pairs the joinable
-    rows.  The right operand is hashed on the textually-shared attributes
-    with the :class:`~repro.storage.index.HashIndex` null-bucket protocol:
-    a left row total on the shared attributes can only join the exact
-    matches plus the null bucket (rows null somewhere on the shared set),
-    so the disagreeing pairs are never visited.
-    """
-    schema = left.schema.union(right.schema, name=f"({left.name} × {right.name})")
-    shared = tuple(a for a in left.schema.attributes if a in right.schema)
-    rows: List[XTuple] = []
-    if not shared:
-        # Disjoint schemas: every non-null pair is joinable.
-        right_rows = [r2 for r2 in right.rows() if not r2.is_null_tuple()]
-        for r1 in left.rows():
-            if r1.is_null_tuple():
-                continue
-            for r2 in right_rows:
-                rows.append(r1.join(r2))
-        return _wrap(schema, rows)
-
-    from itertools import chain
-
-    from ..storage.index import HashIndex  # local import: storage builds on core
-    index = HashIndex(shared)
-    all_right: Optional[List[XTuple]] = None
-    for r2 in right.rows():
-        if not r2.is_null_tuple():
-            index.insert(r2)
-    for r1 in left.rows():
-        if r1.is_null_tuple():
-            continue
-        if r1.is_total_on(shared):
-            exact, null_bucket = index.probe([r1[a] for a in shared])
-            candidates: Iterable[XTuple] = chain(exact, null_bucket)
-        else:
-            if all_right is None:
-                all_right = [r2 for r2 in right.rows() if not r2.is_null_tuple()]
-            candidates = all_right
-        for r2 in candidates:
-            if r1.joinable_with(r2):
-                rows.append(r1.join(r2))
-    return _wrap(schema, rows)
 
 
 def divide_by_images(dividend: RelationLike, divisor: RelationLike, by: Sequence[str]) -> XRelation:

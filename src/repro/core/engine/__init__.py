@@ -28,19 +28,17 @@ in the library:
   <repro.core.setops.x_intersection>`: only row pairs that agree on at
   least one bound attribute value can have a non-null meet, so the full
   ``n × m`` meet product is never enumerated.
-* :func:`~repro.core.engine.joins.equi_join_rows` — the whole-input
-  hash equi-join kernel (the strategy the QUEL planner picks when a
-  qualification contains equalities between two range variables);
-  accepts attribute *lists*, so every equality conjunct linking two
-  ranges fuses into one composite-key probe with no residual selection
-  left behind.
 * :func:`~repro.core.engine.joins.build_join_buckets` /
-  :func:`~repro.core.engine.joins.probe_join_block` — the build and
-  block-at-a-time probe phases behind the executor's hash and
-  index-nested-loop join operators: when a persistent
-  :class:`~repro.storage.index.HashIndex` already covers the fused join
-  key, each outer row probes the live index instead of rebuilding hash
-  buckets per query.
+  :func:`~repro.core.engine.joins.probe_join_block` — the one hash
+  equi-join: the build and block-at-a-time probe phases behind the
+  executor's hash and index-nested-loop join operators (when a
+  persistent table index already covers the fused join key, each outer
+  row probes the live index instead of rebuilding hash buckets per
+  query) and behind :func:`repro.core.algebra.join_on`.  Keys fuse every
+  equality conjunct linking two ranges into one composite probe, and a
+  key holding a null of any kind joins nothing.
+  :func:`~repro.core.engine.joins.equi_join_rows` is their whole-input
+  composition.
 
 The naive, definitional forms are retained throughout the library as
 oracles; the property tests in ``tests/test_engine_properties.py`` assert

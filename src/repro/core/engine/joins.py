@@ -12,20 +12,23 @@ the planner into hash probes:
 * **Equi-joins** (Section 5's TRUE-only discipline): a comparison
   ``t.A = m.B`` can only be TRUE when both sides are non-null and equal,
   so bucketing one operand on its ``B`` values and probing with the other
-  operand's ``A`` values enumerates exactly the TRUE combinations
-  (:func:`equi_join_rows`).  The QUEL planner picks this strategy instead
-  of a Cartesian product followed by a selection.
+  operand's ``A`` values enumerates exactly the TRUE combinations.  This
+  is the one hash equi-join of the library: :func:`build_join_buckets`
+  builds, :func:`probe_join_block` probes, and every equality join —
+  the executor's :class:`~repro.exec.HashJoin` and
+  :class:`~repro.exec.IndexNLJoin`, :func:`repro.core.algebra.join_on`,
+  and the whole-input :func:`equi_join_rows` — goes through the pair.
 
-Both kernels are pure row-level functions; schema handling stays with the
+The kernels are pure row-level functions; schema handling stays with the
 callers in :mod:`repro.core.setops`, :mod:`repro.core.algebra` and
-:mod:`repro.quel.planner`.
+:mod:`repro.exec.operators`.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from ..nulls import is_ni
+from ..nulls import NULL_CLASSES
 from ..tuples import XTuple
 
 
@@ -83,19 +86,14 @@ def equi_join_rows(
     """Hash equi-join: tuple joins of row pairs with ``l[Aᵢ] = r[Bᵢ]`` for all i.
 
     *left_attr* / *right_attr* name the key attributes — a single
-    attribute (the original form) or parallel sequences of attributes, in
-    which case **all** the equalities are fused into one composite-key
-    hash pass: one side is bucketed on its value *tuple*, the other side
-    probes with its own, so a k-attribute equality link costs one hash
-    probe per row instead of a join on one attribute followed by a
-    residual selection over the (much larger) single-key result.
-
-    The operand attribute sets must be disjoint (the planner renames every
-    range with a ``variable.`` prefix before joining), so the tuple join
-    always exists.  Rows null on *any* compared attribute are dropped,
-    which is exactly the Section 5 lower-bound discipline: a comparison
-    touching ``ni`` evaluates to ``ni``, a conjunction with an ``ni``
-    operand is never TRUE, and the combination is not returned.
+    attribute or parallel sequences of attributes, all fused into one
+    composite key.  The whole-input form of the two kernels below:
+    *right_rows* are bucketed by :func:`build_join_buckets`, *left_rows*
+    probe them through :func:`probe_join_block`, so a key holding a null
+    of any kind joins nothing (the Section 5 TRUE-only discipline, as in
+    :func:`repro.core.algebra.comparison_holds`).  Two joined rows must
+    agree wherever their attributes overlap — disjoint schemas, or an
+    overlap on the key itself as in :func:`repro.core.algebra.join_on`.
     """
     left_key = (left_attr,) if isinstance(left_attr, str) else tuple(left_attr)
     right_key = (right_attr,) if isinstance(right_attr, str) else tuple(right_attr)
@@ -105,48 +103,13 @@ def equi_join_rows(
         )
     if not left_key:
         raise ValueError("an equi-join needs at least one attribute pair")
-    out: List[XTuple] = []
-    if len(left_key) == 1:
-        # Single-attribute fast path: bare values as hash keys.
-        la, ra = left_key[0], right_key[0]
-        buckets: Dict[Any, List[XTuple]] = {}
-        for right in right_rows:
-            value = right[ra]
-            if is_ni(value):
-                continue
-            buckets.setdefault(value, []).append(right)
-        if not buckets:
-            return out
-        for left in left_rows:
-            value = left[la]
-            if is_ni(value):
-                continue
-            bucket = buckets.get(value)
-            if not bucket:
-                continue
-            for right in bucket:
-                out.append(left.join(right))
-        return out
-    composite: Dict[Tuple, List[XTuple]] = {}
-    for right in right_rows:
-        lookup = right._lookup
-        key = tuple(lookup.get(a) for a in right_key)
-        if None in key:  # _lookup stores only non-null bindings
-            continue
-        composite.setdefault(key, []).append(right)
-    if not composite:
-        return out
-    for left in left_rows:
-        lookup = left._lookup
-        key = tuple(lookup.get(a) for a in left_key)
-        if None in key:
-            continue
-        bucket = composite.get(key)
-        if not bucket:
-            continue
-        for right in bucket:
-            out.append(left.join(right))
-    return out
+    buckets = build_join_buckets(right_rows, right_key)
+    if not buckets:
+        return []
+    empty: Tuple[XTuple, ...] = ()
+    return probe_join_block(
+        left_rows, left_key, lambda key: buckets.get(key, empty), lambda row: row, {}
+    )
 
 
 def build_join_buckets(
@@ -154,10 +117,13 @@ def build_join_buckets(
 ) -> Dict[Tuple, List[XTuple]]:
     """The build phase of a hash equi-join, as a reusable kernel.
 
-    Buckets *rows* by their value tuple on *key_attrs*; rows null on any
-    key attribute are dropped (they can never satisfy the equality under
-    the Section 5 TRUE-only discipline).  The build phase of the
-    :class:`repro.exec.HashJoin` operator.
+    Buckets *rows* by their value tuple on *key_attrs*; rows ``ni`` on
+    any key attribute are dropped (they can never satisfy the equality
+    under the Section 5 TRUE-only discipline).  A stored marked or
+    unknown null does get a bucket, but no probe reaches it:
+    :func:`probe_join_block` skips every key holding a null, and a null
+    object equals only a null object.  The build phase of
+    :class:`repro.exec.HashJoin` and :func:`equi_join_rows`.
     """
     key_attrs = tuple(key_attrs)
     buckets: Dict[Tuple, List[XTuple]] = {}
@@ -180,17 +146,19 @@ def probe_join_block(
 ) -> List[XTuple]:
     """The probe phase of a hash/index equi-join, one block at a time.
 
-    For each row of *block* that is total on *probe_attrs*, probes
-    *lookup* with its key values and joins the matches after passing them
-    through *transform* (the planner's ``variable.``-prefix rename).
+    For each row of *block* whose key on *probe_attrs* holds no null of
+    any kind (:func:`repro.core.algebra.comparison_holds`'s rule: an
+    equality touching a null is never TRUE), probes *lookup* with its
+    key values and joins the matches after passing them through
+    *transform* (the planner's ``variable.``-prefix rename).
     *cache* memoises the transform per distinct matched row; the caller
     owns it so the memoisation spans every block of one join.  This is
     the block-level entry point the executor's :class:`repro.exec.HashJoin`
     and :class:`repro.exec.IndexNLJoin` pull on: *lookup* is a per-query
-    bucket table for the former, the bound
-    :meth:`repro.storage.index.HashIndex.lookup` of a live persistent
-    index for the latter (whose null-bucket rows an exact lookup never
-    returns, so the TRUE-only discipline holds on both sides).
+    bucket table for the former, the bound exact lookup of a live
+    persistent index (:mod:`repro.storage.index`) for the latter, which
+    keys no row holding a null, so the TRUE-only discipline holds on
+    both sides.
 
     *residual* is the fused-residual hook: a predicate over the
     ``(probe row, raw build row)`` pair, evaluated **before** the joined
@@ -206,7 +174,8 @@ def probe_join_block(
     for left in block:
         bindings = left._lookup
         key = tuple(bindings.get(a) for a in probe_key)
-        if None in key:  # _lookup stores only non-null bindings
+        # An absent binding reads None, whose class is in NULL_CLASSES too.
+        if not NULL_CLASSES.isdisjoint(map(type, key)):
             continue
         for right in lookup(key):
             if residual is not None and not residual(left, right):

@@ -304,5 +304,8 @@ class Pipeline:
         return render_tree(self.root, analyze=analyze)
 
     def __repr__(self) -> str:
-        state = "drained" if self._exhausted else "pending"
-        return f"Pipeline({self.root.label!r}, {state}, rows={len(self._ordered)})"
+        if self._result is not None:
+            state, rows = "drained", len(self._result)
+        else:
+            state, rows = "pending", len(self._ordered)
+        return f"Pipeline({self.root.label!r}, {state}, rows={rows})"

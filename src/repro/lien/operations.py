@@ -47,6 +47,13 @@ def lien_select(relation: Relation, attribute: str, op: str, constant: Any) -> R
     return out
 
 
+def _exists_on(row: XTuple, attributes: Sequence[str]) -> bool:
+    """Whether *row* has an existing value on every attribute: a null of
+    any kind, a nonexistent one included, takes the row out of the join
+    (``is_total_on`` tests only for ``ni``)."""
+    return not any(is_null(row[a]) for a in attributes)
+
+
 def lien_join(r1: Relation, r2: Relation, on: Sequence[str]) -> Relation:
     """Natural (equi-)join on *on* under the nonexistent interpretation.
 
@@ -61,11 +68,11 @@ def lien_join(r1: Relation, r2: Relation, on: Sequence[str]) -> Relation:
     out = Relation(schema, validate=False)
     buckets = {}
     for row in r2.tuples():
-        if row.is_total_on(on):
+        if _exists_on(row, on):
             buckets.setdefault(row.project(on), []).append(row)
     rows: List[XTuple] = []
     for row in r1.tuples():
-        if not row.is_total_on(on):
+        if not _exists_on(row, on):
             continue
         for other in buckets.get(row.project(on), ()):  # agree on `on`
             if row.joinable_with(other):

@@ -6,19 +6,22 @@ operations and for reduction to minimal form.  The storage layer keeps the
 simplest useful realisation of that remark: a hash index on a set of
 attributes, mapping each *total* index-key value to the rows carrying it.
 
-Rows that are null on any indexed attribute are kept in a separate
-"unindexed" bucket: an index can accelerate equality probes for known
-values, but the information ordering means a null row can still subsume or
-be subsumed regardless of the probe value, so scans that care about
-x-membership must also visit the unindexed bucket.  The index API makes
-that explicit (:meth:`HashIndex.probe` returns both parts).
+Rows that are null on any indexed attribute — a null of any kind: ``ni``,
+a marked or an unknown null — are kept in a separate "unindexed" bucket.
+An equality touching a null is never TRUE (Section 5), so an exact
+:meth:`HashIndex.lookup` never returns such a row, just as a scan's
+comparison never keeps it.  The information ordering still means a null
+row can subsume or be subsumed regardless of the probe value, so scans
+that care about x-membership must also visit the unindexed bucket.  The
+index API makes that explicit (:meth:`HashIndex.probe` returns both
+parts).
 """
 
 from __future__ import annotations
 
 from typing import AbstractSet, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..core.nulls import is_ni
+from ..core.nulls import NULL_CLASSES
 from ..core.tuples import XTuple
 
 #: Shared empty result for misses, so probes never allocate.
@@ -41,7 +44,7 @@ class HashIndex:
         values = []
         for attribute in self.attributes:
             value = row[attribute]
-            if is_ni(value):
+            if value.__class__ in NULL_CLASSES:
                 return None
             values.append(value)
         return tuple(values)

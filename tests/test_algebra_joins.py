@@ -11,6 +11,7 @@ from repro.core.algebra import (
     union_join,
 )
 from repro.core.errors import AlgebraError, AttributeNotFound
+from repro.core.nulls import MarkedNull, UnknownNull
 
 
 @pytest.fixture
@@ -84,6 +85,18 @@ class TestJoinOn:
         left = Relation.from_rows(["A", "B"], [(1, None)], name="L")
         right = Relation.from_rows(["B", "C"], [(None, 1), ("x", 2)], name="R")
         assert len(join_on(left, right, ["B"])) == 0
+
+    @pytest.mark.parametrize("null", [MarkedNull("m"), UnknownNull()])
+    def test_stored_null_keys_join_like_theta_join(self, null):
+        """``R1 (·K) R2`` is ``(R1 × R2)[K = K2]`` with the shared column
+        kept once: a marked or unknown join value joins nothing under
+        either operator, though the null object equals itself."""
+        left = Relation.from_rows(["K", "A"], [(null, 1), (5, 2)], name="L")
+        right = Relation.from_rows(["K", "B"], [(null, 3), (5, 4)], name="R")
+        joined = join_on(left, right, ["K"])
+        theta = theta_join(left, rename(right, {"K": "K2"}), "K", "=", "K2")
+        assert set(joined.rows()) == {XTuple(K=5, A=2, B=4)}
+        assert {row.project(["K", "A", "B"]) for row in theta.rows()} == set(joined.rows())
 
     def test_join_requires_join_attributes_on_both_sides(self):
         left = Relation.from_rows(["A"], [(1,)], name="L")

@@ -5,6 +5,7 @@ import pytest
 from repro import Relation, XTuple
 from repro.core.engine import DominanceIndex, bulk_reduce, equi_join_rows, pair_candidates
 from repro.core.minimal import reduce_rows_naive
+from repro.core.nulls import MarkedNull, UnknownNull
 
 
 def T(**kwargs):
@@ -145,6 +146,18 @@ class TestEquiJoinRows:
 
     def test_no_matches(self):
         assert equi_join_rows([T(**{"l.A": 1})], [T(**{"r.A": 2})], "l.A", "r.A") == []
+
+    @pytest.mark.parametrize("null", [MarkedNull("m"), UnknownNull()])
+    def test_stored_null_keys_join_nothing(self, null):
+        """A marked or unknown null equals itself as a Python object, but
+        an equality touching it is never TRUE (Section 5)."""
+        left = [T(**{"l.A": null, "l.B": 1}), T(**{"l.A": 2, "l.B": 1})]
+        right = [T(**{"r.A": null, "r.B": 1}), T(**{"r.A": 2, "r.B": 1})]
+        assert equi_join_rows(left, right, "l.A", "r.A") == [
+            T(**{"l.A": 2, "l.B": 1, "r.A": 2, "r.B": 1})
+        ]
+        composite = equi_join_rows(left, right, ["l.B", "l.A"], ["r.B", "r.A"])
+        assert composite == [T(**{"l.A": 2, "l.B": 1, "r.A": 2, "r.B": 1})]
 
 
 class TestEngineBackedRelationOps:

@@ -263,6 +263,12 @@ class TestPipeline:
         # the prefix replays — nothing was lost or produced twice
         assert len(list(pipeline.iter_rows())) == 50
 
+    def test_repr_reports_the_answer_size_once_drained(self):
+        pipeline = self.make_pipeline(n=10)
+        assert repr(pipeline).endswith(", pending, rows=0)")
+        pipeline.run()
+        assert repr(pipeline).endswith(", drained, rows=10)")
+
     def test_trace_rows_appear_after_drain(self):
         pipeline = self.make_pipeline(n=10)
         assert pipeline.step_lines() == ["project onto ['out']"]

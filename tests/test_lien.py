@@ -5,6 +5,7 @@ import pytest
 from repro import NI, Relation, XTuple
 from repro.constraints import FunctionalDependency
 from repro.core.errors import ConstraintViolation
+from repro.core.nulls import NonexistentNull
 from repro.lien import (
     MultivaluedDependency,
     complementation,
@@ -39,6 +40,13 @@ class TestLienOperations:
         joined = lien_join(left, right, ["K"])
         assert len(joined) == 1
         assert XTuple(A=1, K="k1", B=10) in joined.tuples()
+
+    def test_join_ignores_nonexistent_join_values(self):
+        """A nonexistent value equals nothing, itself included — the rule
+        ``lien_select`` already applies."""
+        left = Relation.from_rows(["A", "K"], [(1, "k1"), (2, NonexistentNull())], name="L")
+        right = Relation.from_rows(["K", "B"], [("k1", 10), (NonexistentNull(), 20)], name="R")
+        assert set(lien_join(left, right, ["K"]).tuples()) == {XTuple(A=1, K="k1", B=10)}
 
     def test_join_agrees_with_core_equijoin(self, emp_db):
         from repro.core.algebra import join_on

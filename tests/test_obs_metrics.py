@@ -214,6 +214,17 @@ class TestEngineSeries:
         as_dict = trace.as_dict()
         assert as_dict["kind"] == "retrieve" and as_dict["rows_out"] == 5
 
+    def test_retrieve_into_traces_and_counts_its_operators(self):
+        """RETRIEVE INTO drains its tree eagerly; the trace and the exec
+        counters still see every operator, as for a lazy retrieve."""
+        registry = MetricsRegistry()
+        session = fresh_database(registry).session()
+        session.execute("range of t is T retrieve into U (t.A)")
+        trace = session.recent_traces()[-1]
+        assert [step["operator"] for step in trace.operators] == ["Project", "TableScan"]
+        parsed = parse_prometheus(registry.render_prometheus())
+        assert parsed[("repro_exec_operator_rows_total", (("operator", "TableScan"),))] == 5
+
     def test_repeated_retrieve_traces_mark_result_cache_hits(self):
         database = fresh_database(MetricsRegistry())
         session = database.session()

@@ -37,6 +37,7 @@ from repro.core.errors import (
     StatementTooComplex,
     StorageError,
 )
+from repro.core.nulls import MarkedNull, UnknownNull
 from repro.core.tuples import XTuple
 from repro.limits import MAX_STATEMENT_BYTES
 from repro.obs import MetricsRegistry, parse_prometheus
@@ -531,6 +532,43 @@ class TestPlanOnce:
                     held.update(v.name for v in op.probe)
             assert held == set(bindings[0])
             assert prepared.compile_count == 1
+
+
+class TestStoredNullKeys:
+    """A stored marked or unknown null equals itself as a Python object,
+    but an equality touching it is never TRUE (Section 5): hash joins,
+    index-nested-loop joins and index probes answer as the tuple oracle
+    does, cold and prepared."""
+
+    JOIN = "range of r is R range of s is S retrieve (r.A, s.C) where r.B = s.B"
+    SELECT = "range of s is S retrieve (s.C) where s.B = $b"
+
+    @pytest.fixture(params=[MarkedNull("m"), UnknownNull()], ids=["marked", "unknown"])
+    def null(self, request):
+        return request.param
+
+    @pytest.fixture(params=[False, True], ids=["hash", "indexed"])
+    def nulldb(self, request, null):
+        database = Database("nulls")
+        database.create_table("R", ["A", "B"]).load([XTuple(A=1, B=null), XTuple(A=2, B=5)])
+        s = database.create_table("S", ["B", "C"])
+        s.load([XTuple(B=null, C=10), XTuple(B=5, C=20)])
+        if request.param:
+            s.create_index(["B"])
+        return database
+
+    def test_join_on_a_null_key_matches_the_oracle(self, nulldb):
+        oracle = run_query(self.JOIN, nulldb, strategy="tuple").answer
+        assert set(oracle.rows()) == {XTuple(r_A=2, s_C=20)}
+        session = repro.connect(nulldb)
+        assert session.execute(self.JOIN).to_relation() == oracle
+        assert session.prepare(self.JOIN).execute().to_relation() == oracle
+
+    def test_index_select_with_a_null_parameter_answers_nothing(self, nulldb, null):
+        session = repro.connect(nulldb)
+        assert session.execute(self.SELECT, {"b": null}).rows == []
+        assert session.prepare(self.SELECT).execute({"b": null}).rows == []
+        assert session.execute(self.SELECT, {"b": 5}).rows == [XTuple(s_C=20)]
 
 
 class TestStaleResults:

@@ -18,6 +18,7 @@ from repro.core.errors import (
     SchemaError,
     StorageError,
 )
+from repro.core.nulls import MarkedNull, UnknownNull
 from repro.storage import Catalog, Database, HashIndex, Table, add_attribute, drop_attribute, evolve
 
 
@@ -35,6 +36,18 @@ class TestHashIndex:
         index.insert(XTuple(B="only"))
         exact, unindexed = index.probe([1])
         assert not exact and len(unindexed) == 1
+
+    @pytest.mark.parametrize("null", [MarkedNull("m"), UnknownNull()])
+    def test_marked_and_unknown_rows_go_to_unindexed_bucket(self, null):
+        """An equality touching a null of any kind is never TRUE, so an
+        exact lookup — even with the very same null object — misses."""
+        index = HashIndex(["A", "B"])
+        index.bulk_add([XTuple(A=1, B=null), XTuple(A=1, B=2)])
+        exact, unindexed = index.probe([1, null])
+        assert not exact and unindexed == {XTuple(A=1, B=null)}
+        assert index.lookup([1, 2]) == {XTuple(A=1, B=2)}
+        index.bulk_discard([XTuple(A=1, B=null)])
+        assert len(index) == 1
 
     def test_remove(self):
         index = HashIndex(["A"])
